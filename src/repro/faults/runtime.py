@@ -213,7 +213,7 @@ class RecoveryRuntime:
     # ------------------------------------------------------------------
     # epoch cadence
     # ------------------------------------------------------------------
-    def epoch(self, work: int = 0, mark=None) -> None:
+    def epoch(self, mark=None) -> None:
         """One engine iteration boundary: run the cadenced probe/checkpoint."""
         self._epoch += 1
         p = self.policy

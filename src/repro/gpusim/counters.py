@@ -148,9 +148,9 @@ class KernelCounters:
         one multisplit, and the two MLMQ stealing keys (``mlmq_steals``,
         ``mlmq_stolen_slots``) only when at least one steal happened.
         Key presence is a deterministic function of the counted events,
-        and a run with the ``REPRO_NO_MULTISPLIT`` fallback active
-        therefore serializes byte-identically to a pre-multisplit build —
-        the property the baseline-compatibility gate pins.
+        so an engine that issues no multisplit (``bl``,
+        ``harish-narayanan``) serializes without them — ``BENCH_quick.json``
+        pins that key set for its ``bl`` cells.
         """
         multisplit_keys = (
             "inst_executed_ballots",

@@ -4,9 +4,9 @@
 headline counters, then aggregates them the way a profiling session does:
 time per kernel *type*, top-k kernels, and a bottleneck attribution that
 splits each kernel's duration into its binding resource (issue-bound,
-memory-bound, critical-path-bound or overhead).  The attribution re-derives
-the roofline terms from the recorded counters, so it always agrees with the
-time model.
+memory-bound, critical-path-bound or overhead).  The attribution reads the
+same roofline terms the time model charges
+(:func:`repro.gpusim.timemodel.roofline`), so the two always agree.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .counters import KernelCounters
 from .spec import GPUSpec
-from .timemodel import SERIAL_CPI
+from .timemodel import roofline
 
 __all__ = ["KernelRecord", "Timeline", "attribute_bottleneck"]
 
@@ -45,15 +45,7 @@ def attribute_bottleneck(
     One of ``"issue"``, ``"memory"``, ``"critical-path"`` — or
     ``"overhead"`` when the body is empty (pure launch/sync cost).
     """
-    issue = counters.total_warp_instructions / spec.issue_slots_per_s
-    dram = max(
-        (counters.global_load_transactions - counters.l1_hits)
-        + counters.global_store_transactions
-        + counters.atomic_transactions,
-        0,
-    )
-    mem = dram * spec.sector_bytes / spec.mem_bandwidth_bytes_per_s
-    crit = critical_instructions * SERIAL_CPI / spec.clock_hz
+    issue, mem, crit, _atom = roofline(spec, counters, critical_instructions)
     best = max(issue, mem, crit)
     if best == 0:
         return "overhead"

@@ -26,25 +26,37 @@ actual instruction/transaction/imbalance behaviour.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .counters import KernelCounters
 from .spec import GPUSpec
 
-__all__ = ["kernel_time", "SERIAL_CPI"]
+__all__ = ["kernel_time", "roofline", "Roofline", "SERIAL_CPI"]
 
 #: cycles per instruction for a dependent single-warp chain (issue latency
 #: of back-to-back dependent instructions on Volta-class SMs)
 SERIAL_CPI = 4.0
 
 
-def kernel_time(
+class Roofline(NamedTuple):
+    """The bound terms (seconds) of one kernel body."""
+
+    issue_s: float
+    mem_s: float
+    crit_s: float
+    atom_s: float
+
+
+def roofline(
     spec: GPUSpec,
     counters: KernelCounters,
     critical_instructions: int,
-) -> float:
-    """Simulated execution time (seconds) of one kernel's body.
+) -> Roofline:
+    """Compute the issue / memory / critical-path / atomic terms once.
 
-    Launch and synchronization latencies are charged separately by the
-    device (they depend on *how* the kernel was started, not on its body).
+    :func:`kernel_time` charges them and
+    :func:`repro.gpusim.timeline.attribute_bottleneck` names the binding
+    one, so the two can never disagree.
     """
     # --- issue bound -----------------------------------------------------
     # shared-memory transactions (multisplit staging) occupy LSU issue
@@ -72,5 +84,20 @@ def kernel_time(
         * spec.atomic_serialization_cycles
         / (spec.num_sms * spec.clock_hz)
     )
+    return Roofline(issue_s, mem_s, crit_s, atom_s)
 
+
+def kernel_time(
+    spec: GPUSpec,
+    counters: KernelCounters,
+    critical_instructions: int,
+) -> float:
+    """Simulated execution time (seconds) of one kernel's body.
+
+    Launch and synchronization latencies are charged separately by the
+    device (they depend on *how* the kernel was started, not on its body).
+    """
+    issue_s, mem_s, crit_s, atom_s = roofline(
+        spec, counters, critical_instructions
+    )
     return max(issue_s, mem_s, crit_s) + atom_s

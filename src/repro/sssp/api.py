@@ -97,8 +97,8 @@ def sssp(graph: CSRGraph, source: int, method: str = "rdbs", **kwargs) -> SSSPRe
     Returns
     -------
     SSSPResult
-        distances (original id space), simulated time, work tally and —
-        for GPU methods — profiling counters.
+        distances (in ``graph``'s ids, like ``source``), simulated time,
+        work tally and — for GPU methods — profiling counters.
     """
     try:
         fn = METHODS[method]

@@ -69,7 +69,8 @@ def delta_stepping_cpu(
         np.array([source]), np.array([0.0]), np.array([True])
     )  # the source initialization counts as one (valid) update
     trace = TraceRecorder() if record_trace else None
-    #: per-bucket phase-1 work recorders, finalized after convergence
+    #: per-bucket phase-1 work recorders (trace only), finalized after
+    #: convergence
     bucket_phase1: list[WorkStats] = []
 
     lo = 0.0
@@ -89,9 +90,11 @@ def delta_stepping_cpu(
         if buckets_processed > max_buckets:
             raise RuntimeError("bucket limit exceeded; check edge weights")
 
+        p1 = None
         if trace is not None:
             trace.begin_bucket(k, members.size, lo, hi)
-        p1 = WorkStats()
+            p1 = WorkStats()
+            bucket_phase1.append(p1)
 
         # ------------------------------------------------------------------
         # phase 1: relax light edges until the bucket stops changing
@@ -107,7 +110,8 @@ def delta_stepping_cpu(
                 frontier, dist, row, adj, w, light_mask, light=True
             )
             stats.record(v, nd, updated)
-            p1.record(v, nd, updated)
+            if p1 is not None:
+                p1.record(v, nd, updated)
             if v.size == 0:
                 break
             touched = np.unique(v[updated])
@@ -122,7 +126,6 @@ def delta_stepping_cpu(
         )
         stats.record(v, nd, updated)
 
-        bucket_phase1.append(p1)
         if trace is not None:
             trace.end_bucket()
         lo = hi

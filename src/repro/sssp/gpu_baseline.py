@@ -15,14 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import make_runtime
 from ..graphs.csr import CSRGraph
-from ..gpusim.device import GPUDevice, subset_assignment
+from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
-from ..metrics.workstats import WorkStats
-from .errors import ConvergenceError
-from .relax import DeviceGraph, FrontierFlags, relax_batch
+from .engine import SearchFrame
+from .relax import FrontierFlags, relax_batch
 from .result import SSSPResult
 
 __all__ = ["bl_sssp"]
@@ -38,28 +36,12 @@ def bl_sssp(
 ) -> SSSPResult:
     """Run the synchronous push-mode baseline on a simulated GPU.
 
-    ``max_iterations=None`` (the default) applies a finite safety bound of
-    ``n + 2`` iterations — unreachable on sane inputs (a frontier survives
-    at most ``n`` rounds), so tripping it means corrupted state and raises
-    :class:`~repro.sssp.errors.ConvergenceError` (or breaks to the repair
-    sweeps when ``recovery`` is on).  An explicit ``max_iterations`` keeps
-    the historical truncation semantics: stop and return the partial
-    distances.
+    ``max_iterations=None`` applies the ``n + 2`` safety bound; an explicit
+    value truncates (see :meth:`~repro.sssp.engine.SearchFrame.past_bound`).
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, graph)
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, source, 0.0)
-    flags = FrontierFlags(device, n)
-    stats = WorkStats()
-    stats.record(np.array([source]), np.array([0.0]), np.array([True]))
-    runtime = make_runtime(recovery, device, dgraph, dist, source, "bl")
-    default_bound = max_iterations is None
-    limit = (n + 2) if default_bound else max_iterations
+    frame = SearchFrame(graph, source, "bl", spec=spec, recovery=recovery)
+    device, dgraph, dist = frame.device, frame.dgraph, frame.dist
+    flags = FrontierFlags(device, graph.num_vertices)
 
     frontier = np.array([source], dtype=np.int64)
     iterations = 0
@@ -71,20 +53,9 @@ def bl_sssp(
             device.annotate(
                 "bl_round", iteration=iterations, frontier=int(frontier.size)
             )
-        if iterations > limit:
-            if not default_bound:
-                break  # caller-requested truncation: partial result
-            exc = ConvergenceError(
-                "iteration limit exceeded",
-                method="bl", iterations=iterations - 1,
-                frontier=int(frontier.size),
-            )
-            if runtime is None:
-                raise exc
-            runtime.recover(exc)
-            break  # the final repair sweeps restore the fixpoint
-        if runtime is not None:
-            runtime.epoch(int(frontier.size))
+        if frame.past_bound(iterations, int(frontier.size), max_iterations):
+            break
+        frame.epoch()
         flags.new_round()
         try:
             with device.launch("bl_relax") as k:
@@ -92,7 +63,7 @@ def bl_sssp(
                 # static load balancing: one thread per active vertex
                 a = thread_per_vertex_edges(batch.counts)
                 targets, updated = relax_batch(
-                    k, dgraph, dist, frontier, batch, a, stats
+                    k, dgraph, dist, frontier, batch, a, frame.stats
                 )
                 if targets.size:
                     sub = subset_assignment(a, updated)
@@ -100,31 +71,9 @@ def bl_sssp(
                 else:
                     next_frontier = np.zeros(0, dtype=np.int64)
         except InjectedKernelAbort as exc:
-            if runtime is None:
-                raise
-            frontier = runtime.on_abort(exc)
+            frontier = frame.on_abort(exc)
             continue
         device.barrier()  # synchronous mode: barrier every iteration
         frontier = next_frontier
 
-    if runtime is not None:
-        runtime.finish()
-
-    dist_out = graph.to_original_order(dist.data.copy())
-    source_out = (
-        int(graph.new_to_old[source]) if graph.new_to_old is not None else source
-    )
-    return SSSPResult(
-        dist=dist_out,
-        source=source_out,
-        method="bl",
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=stats.finalize(dist.data),
-        counters=device.counters,
-        num_edges=graph.num_edges,
-        extra={
-            "timeline": device.timeline,
-            "iterations": iterations},
-        faults=runtime.report if runtime is not None else None,
-    )
+    return frame.result(iterations=iterations)

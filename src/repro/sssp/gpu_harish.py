@@ -21,14 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import make_runtime
 from ..graphs.csr import CSRGraph
-from ..gpusim.device import GPUDevice, subset_assignment
+from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import thread_per_item, thread_per_vertex_edges
 from ..gpusim.spec import GPUSpec, V100
-from ..metrics.workstats import WorkStats
-from .errors import ConvergenceError
-from .relax import DeviceGraph, relax_batch
+from .engine import SearchFrame
+from .relax import relax_batch
 from .result import SSSPResult
 
 __all__ = ["harish_narayanan_sssp"]
@@ -44,50 +42,27 @@ def harish_narayanan_sssp(
 ) -> SSSPResult:
     """Run the topology-driven 2007 baseline on a simulated GPU.
 
-    As for :func:`~repro.sssp.gpu_baseline.bl_sssp`, the default
-    ``max_iterations=None`` applies a finite ``n + 2`` safety bound that
-    raises :class:`~repro.sssp.errors.ConvergenceError` when tripped, while
-    an explicit bound keeps the historical truncate-and-return semantics.
+    ``max_iterations=None`` applies the ``n + 2`` safety bound; an explicit
+    value truncates (see :meth:`~repro.sssp.engine.SearchFrame.past_bound`).
     """
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, graph)
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, source, 0.0)
+    frame = SearchFrame(
+        graph, source, "harish-narayanan", spec=spec, recovery=recovery
+    )
+    device, dgraph, dist = frame.device, frame.dgraph, frame.dist
     mask = device.zeros(n, dtype=np.int8, name="mask")
     device.host_store(mask, source, np.int8(1))
-    stats = WorkStats()
-    stats.record(np.array([source]), np.array([0.0]), np.array([True]))
-    runtime = make_runtime(
-        recovery, device, dgraph, dist, source, "harish-narayanan"
-    )
-    default_bound = max_iterations is None
-    limit = (n + 2) if default_bound else max_iterations
 
     all_vertices = np.arange(n, dtype=np.int64)
     iterations = 0
     while True:
         iterations += 1
-        if iterations > limit:
-            if not default_bound:
-                break  # caller-requested truncation: partial result
-            exc = ConvergenceError(
-                "iteration limit exceeded",
-                method="harish-narayanan", iterations=iterations - 1,
-                frontier=int(mask.data.sum()),
-            )
-            if runtime is None:
-                raise exc
-            runtime.recover(exc)
-            break  # the final repair sweeps restore the fixpoint
         active = np.flatnonzero(mask.data)
         if active.size == 0:
             break
-        if runtime is not None:
-            runtime.epoch(int(active.size))
+        if frame.past_bound(iterations, int(active.size), max_iterations):
+            break
+        frame.epoch()
         try:
             with device.launch("hn_relax") as k:
                 # every vertex gets a thread and reads its mask (the
@@ -103,7 +78,7 @@ def harish_narayanan_sssp(
                 batch = dgraph.batch(active, "all")
                 a = thread_per_vertex_edges(batch.counts)
                 targets, updated = relax_batch(
-                    k, dgraph, dist, active, batch, a, stats
+                    k, dgraph, dist, active, batch, a, frame.stats
                 )
                 if targets.size and updated.any():
                     # the original uses two kernels (relax into an
@@ -119,11 +94,9 @@ def harish_narayanan_sssp(
                         sub_u,
                     )
         except InjectedKernelAbort as exc:
-            if runtime is None:
-                raise
             # the mask array is not checkpointed; conservatively re-mark
             # every finite vertex so no relaxation is lost
-            fin = runtime.on_abort(exc)
+            fin = frame.on_abort(exc)
             device.host_store(
                 mask, all_vertices, np.zeros(n, dtype=np.int8)
             )
@@ -131,18 +104,4 @@ def harish_narayanan_sssp(
             continue
         device.barrier()
 
-    if runtime is not None:
-        runtime.finish()
-
-    return SSSPResult(
-        dist=dist.data.copy(),
-        source=source,
-        method="harish-narayanan",
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=stats.finalize(dist.data),
-        counters=device.counters,
-        num_edges=graph.num_edges,
-        extra={"timeline": device.timeline, "iterations": iterations},
-        faults=runtime.report if runtime is not None else None,
-    )
+    return frame.result(iterations=iterations)

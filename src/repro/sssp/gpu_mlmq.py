@@ -40,16 +40,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import WatchdogTimeout, make_runtime
+from ..faults.runtime import WatchdogTimeout
 from ..graphs.csr import CSRGraph
 from ..gpusim.device import GPUDevice
 from ..gpusim.kernels import grid_stride, thread_per_item
 from ..gpusim.spec import GPUSpec, V100
 from ..metrics.workstats import WorkStats
 from ..util.scan import sorted_unique_ints
+from .engine import SearchFrame
 from .errors import ConvergenceError
 from .gpu_rdbs import default_delta
-from .relax import DeviceGraph, relax_batch
+from .relax import relax_batch
 from .result import SSSPResult
 
 __all__ = ["mlmq_sssp", "NUM_QUEUES", "WINDOW_LEVELS", "GROUP_CHUNK"]
@@ -159,10 +160,6 @@ class _QueuePool:
         self.queues.pop(level, None)
         self.sizes.pop(level, None)
 
-    def total_pending(self) -> int:
-        queued = sum(int(s.sum()) for s in self.sizes.values())
-        return queued + int(self.overflow_mask.sum())
-
 
 def mlmq_sssp(
     graph: CSRGraph,
@@ -186,8 +183,6 @@ def mlmq_sssp(
     sweeps.  Off (``None``) it costs nothing.
     """
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
     if window_levels < 1 or num_queues < 1:
         raise ValueError("window_levels and num_queues must be >= 1")
     if chunk < 1:
@@ -196,14 +191,8 @@ def mlmq_sssp(
         delta = default_delta(graph)
     if delta <= 0:
         raise ValueError("delta must be positive")
-
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, graph)
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, source, 0.0)
-    stats = WorkStats()
-    stats.record(np.array([source]), np.array([0.0]), np.array([True]))
-    runtime = make_runtime(recovery, device, dgraph, dist, source, "mlmq")
+    frame = SearchFrame(graph, source, "mlmq", spec=spec, recovery=recovery)
+    device, dgraph, dist = frame.device, frame.dgraph, frame.dist
 
     state = _QueuePool(device, n, graph.num_edges, num_queues)
 
@@ -234,8 +223,7 @@ def mlmq_sssp(
             break
         lo = lvl * delta
         hi = (lvl + 1) * delta
-        if runtime is not None:
-            runtime.epoch(state.total_pending(), mark=lo)
+        frame.epoch(mark=lo)
 
         try:
             # promote overflow entries the window now covers
@@ -258,15 +246,12 @@ def mlmq_sssp(
                     active=np.flatnonzero(state.queue_level == lvl),
                 )
             occupancy = [int(c) for c in state.sizes[lvl]]
-            watchdog = (
-                runtime.new_watchdog(state.level_size(lvl),
-                                     chunk * num_queues)
-                if runtime is not None else None
-            )
+            watchdog = frame.watchdog(state.level_size(lvl),
+                                      chunk * num_queues)
             row = _drain_level(
                 device, dgraph, dist, state, lvl, delta=delta,
                 window=window_levels, num_queues=num_queues, chunk=chunk,
-                stats=stats, watchdog=watchdog, tally=tally,
+                stats=frame.stats, watchdog=watchdog, tally=tally,
                 max_rounds=max_rounds, note=note,
             )
             state.drop_level(lvl)
@@ -284,49 +269,30 @@ def mlmq_sssp(
                         "occupancy": occupancy})
             level_telemetry.append(row)
         except (WatchdogTimeout, InjectedKernelAbort) as exc:
-            if runtime is None:
-                raise
-            _mlmq_reseed(runtime, exc, state, dist)
+            _mlmq_reseed(frame, exc, state)
             continue
         except ConvergenceError as exc:
-            if runtime is None:
-                raise
-            runtime.recover(exc)
+            frame.recover(exc)
             break  # the final repair sweeps restore the fixpoint
 
-    if runtime is not None:
-        runtime.finish()
-
-    work = stats.finalize(dist.data)
+    work = frame.finish()
     totals = device.counters.totals
     wasted = (
         (work.relaxations - work.valid_updates) / work.relaxations
         if work.relaxations else 0.0
     )
-    return SSSPResult(
-        dist=dist.data.copy(),
-        source=source,
-        method="mlmq",
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=work,
-        counters=device.counters,
-        num_edges=graph.num_edges,
-        extra={
-            "timeline": device.timeline,
-            "delta": delta,
-            "window_levels": window_levels,
-            "num_queues": num_queues,
-            "levels": levels_processed,
-            "rounds": tally["rounds"],
-            "advances": tally["advances"],
-            "stale_pops": tally["stale"],
-            "mlmq_steals": int(totals.mlmq_steals),
-            "mlmq_stolen_slots": int(totals.mlmq_stolen_slots),
-            "wasted_relaxation_ratio": float(wasted),
-            "level_telemetry": level_telemetry,
-        },
-        faults=runtime.report if runtime is not None else None,
+    return frame.result(
+        delta=delta,
+        window_levels=window_levels,
+        num_queues=num_queues,
+        levels=levels_processed,
+        rounds=tally["rounds"],
+        advances=tally["advances"],
+        stale_pops=tally["stale"],
+        mlmq_steals=int(totals.mlmq_steals),
+        mlmq_stolen_slots=int(totals.mlmq_stolen_slots),
+        wasted_relaxation_ratio=float(wasted),
+        level_telemetry=level_telemetry,
     )
 
 
@@ -562,7 +528,7 @@ def _advance_window(
     return int(cand.size)
 
 
-def _mlmq_reseed(runtime, exc, state: _QueuePool, dist) -> None:
+def _mlmq_reseed(frame, exc, state: _QueuePool) -> None:
     """Roll back after an aborted kernel and rebuild the queue hierarchy.
 
     Every finite vertex of the restored checkpoint re-enters through the
@@ -570,7 +536,7 @@ def _mlmq_reseed(runtime, exc, state: _QueuePool, dist) -> None:
     normal counted kernel.  Re-relaxing settled vertices costs extra work
     but cannot change a correct distance.
     """
-    fin = runtime.on_abort(exc)
+    fin = frame.on_abort(exc)
     state.queues.clear()
     state.sizes.clear()
     state.queue_level[:] = -1
@@ -578,4 +544,4 @@ def _mlmq_reseed(runtime, exc, state: _QueuePool, dist) -> None:
     state.overflow_val[:] = np.inf
     if fin.size:
         state.overflow_mask[fin] = True
-        state.overflow_val[fin] = dist.data[fin]
+        state.overflow_val[fin] = frame.dist.data[fin]

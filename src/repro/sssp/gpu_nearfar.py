@@ -14,16 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import make_runtime
 from ..graphs.csr import CSRGraph
-from ..gpusim.device import GPUDevice, subset_assignment
+from ..gpusim.device import subset_assignment
 from ..gpusim.kernels import grid_stride, thread_per_vertex_edges
-from ..gpusim.multisplit import multisplit_enabled
 from ..gpusim.spec import GPUSpec, V100
-from ..metrics.workstats import WorkStats
+from .engine import SearchFrame
 from .errors import ConvergenceError
 from .gpu_rdbs import default_delta
-from .relax import DeviceGraph, relax_batch
+from .relax import relax_batch
 from .result import SSSPResult
 
 __all__ = ["nearfar_sssp"]
@@ -42,31 +40,23 @@ def nearfar_sssp(
 ) -> SSSPResult:
     """Run synchronous Near-Far on a simulated GPU."""
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
+    frame = SearchFrame(graph, source, "near-far", spec=spec,
+                        recovery=recovery)
+    device, dgraph, dist = frame.device, frame.dgraph, frame.dist
     if delta is None:
         delta = default_delta(graph)
-
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, graph)
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, source, 0.0)
-    stats = WorkStats()
-    stats.record(np.array([source]), np.array([0.0]), np.array([True]))
-    runtime = make_runtime(recovery, device, dgraph, dist, source, "near-far")
 
     threshold = delta
     near = np.array([source], dtype=np.int64)
     far_mask = np.zeros(n, dtype=bool)
-    # windowed far pile (multisplit placement): the host mirrors each far
-    # vertex's latest inserted distance — exactly the register-resident
-    # value the winning atomic wrote, so ``far_val[v] == dist[v]`` for
-    # every far member — and buckets it on the absolute Δ-grid.  Threshold
-    # advances then promote every full window below the grid cell holding
-    # the threshold wholesale; only the straddling boundary window needs
-    # the counted gather-and-ballot split.
-    far_val = np.full(n, np.inf) if multisplit_enabled() else None
-    settled_below = np.zeros(n, dtype=bool)
+    # windowed far pile: the host mirrors each far vertex's latest
+    # inserted distance — exactly the register-resident value the winning
+    # atomic wrote, so ``far_val[v] == dist[v]`` for every far member —
+    # and buckets it on the absolute Δ-grid.  Threshold advances then
+    # promote every full window below the grid cell holding the threshold
+    # wholesale; only the straddling boundary window needs the counted
+    # gather-and-ballot split.
+    far_val = np.full(n, np.inf)
     iterations = 0
 
     while near.size or far_mask.any():
@@ -78,69 +68,49 @@ def nearfar_sssp(
                 break
             min_far = float(dist.data[finite].min())
             threshold = max(threshold + delta, min_far + delta)
-            if far_val is not None:
-                vals = far_val[candidates]
-                # grid cell holding the threshold, clamped so float
-                # rounding can never misplace the promote boundary
-                grid_lo = min(float(np.floor(threshold / delta) * delta),
-                              threshold)
-                grid_hi = max(grid_lo + delta, threshold)
-                full = candidates[vals < grid_lo]
-                boundary = candidates[(vals >= grid_lo) & (vals < grid_hi)]
-                promote_b = np.zeros(0, dtype=np.int64)
-                if boundary.size:
-                    try:
-                        with device.launch("nearfar_split") as k:
-                            a = grid_stride(boundary.size, _SCAN_THREADS)
-                            dvals = k.gather(dist, boundary, a)
-                            keys = (dvals >= threshold).astype(np.int64)
-                            order, offs = k.multisplit(keys, 2, a)
-                            promote_b = boundary[order[: offs[1]]]
-                    except InjectedKernelAbort as exc:
-                        if runtime is None:
-                            raise
-                        near, far_mask = _nearfar_reseed(
-                            runtime, exc, far_mask, far_val, dist)
-                        continue
-                    device.barrier()
-                promote = np.union1d(full, promote_b)
-                far_val[promote] = np.inf
-            else:
+            vals = far_val[candidates]
+            # grid cell holding the threshold, clamped so float rounding
+            # can never misplace the promote boundary
+            grid_lo = min(float(np.floor(threshold / delta) * delta),
+                          threshold)
+            grid_hi = max(grid_lo + delta, threshold)
+            full = candidates[vals < grid_lo]
+            boundary = candidates[(vals >= grid_lo) & (vals < grid_hi)]
+            promote_b = np.zeros(0, dtype=np.int64)
+            if boundary.size:
                 try:
                     with device.launch("nearfar_split") as k:
-                        a = grid_stride(candidates.size, _SCAN_THREADS)
-                        dvals = k.gather(dist, candidates, a)
-                        k.alu(a, ops=2)
+                        a = grid_stride(boundary.size, _SCAN_THREADS)
+                        dvals = k.gather(dist, boundary, a)
+                        keys = (dvals >= threshold).astype(np.int64)
+                        order, offs = k.multisplit(keys, 2, a)
+                        promote_b = boundary[order[: offs[1]]]
                 except InjectedKernelAbort as exc:
-                    if runtime is None:
-                        raise
-                    near, far_mask = _nearfar_reseed(runtime, exc, far_mask)
+                    _nearfar_reseed(frame, exc, far_mask, far_val)
+                    near = np.zeros(0, dtype=np.int64)
                     continue
                 device.barrier()
-                promote = candidates[dvals < threshold]
+            promote = np.union1d(full, promote_b)
+            far_val[promote] = np.inf
             far_mask[promote] = False
             near = promote
             continue
 
         iterations += 1
         if iterations > max_iterations:
-            exc = ConvergenceError(
+            frame.recover(ConvergenceError(
                 "near-far iteration limit exceeded",
                 method="near-far", iterations=iterations - 1,
                 frontier=int(near.size), delta=delta,
-            )
-            if runtime is None:
-                raise exc
-            runtime.recover(exc)
+            ))
             break  # the final repair sweeps restore the fixpoint
-        if runtime is not None:
-            runtime.epoch(int(near.size))
-        settled_below[near] = True
+        frame.epoch()
         try:
             with device.launch("nearfar_relax") as k:
                 batch = dgraph.batch(near, "all")
                 a = thread_per_vertex_edges(batch.counts)
-                out = relax_batch(k, dgraph, dist, near, batch, a, stats)
+                out = relax_batch(k, dgraph, dist, near, batch, a,
+                                  frame.stats)
                 if out.targets.size:
                     upd_targets = out.targets[out.updated]
                     # classify on the value the winning atomic wrote — the
@@ -148,29 +118,20 @@ def nearfar_sssp(
                     new_vals = out.new_dist[out.updated]
                     is_near = new_vals < threshold
                     sub = subset_assignment(a, out.updated)
-                    if far_val is not None:
-                        # one ballot round partitions near/far; stable
-                        # bucket order keeps the updated-target order, so
-                        # the halves equal the boolean-mask splits
-                        order, offs = k.multisplit(
-                            (~is_near).astype(np.int64), 2, sub)
-                        near_hits = upd_targets[order[: offs[1]]]
-                        far_hits = upd_targets[order[offs[1]:]]
-                        far_hit_vals = new_vals[order[offs[1]:]]
-                    else:
-                        k.branch(sub, is_near)
-                        near_hits = upd_targets[is_near]
-                        far_hits = upd_targets[~is_near]
-                        far_hit_vals = new_vals[~is_near]
+                    # one ballot round partitions near/far; the stable
+                    # bucket order keeps the updated-target order
+                    order, offs = k.multisplit(
+                        (~is_near).astype(np.int64), 2, sub)
+                    near_hits = upd_targets[order[: offs[1]]]
+                    far_hits = upd_targets[order[offs[1]:]]
+                    far_hit_vals = new_vals[order[offs[1]:]]
                 else:
                     near_hits = np.zeros(0, dtype=np.int64)
                     far_hits = np.zeros(0, dtype=np.int64)
                     far_hit_vals = np.zeros(0)
         except InjectedKernelAbort as exc:
-            if runtime is None:
-                raise
-            near, far_mask = _nearfar_reseed(
-                runtime, exc, far_mask, far_val, dist)
+            _nearfar_reseed(frame, exc, far_mask, far_val)
+            near = np.zeros(0, dtype=np.int64)
             continue
         device.barrier()
 
@@ -179,45 +140,26 @@ def nearfar_sssp(
         far_mask[far_new] = True
         # a vertex pulled below the threshold leaves the far pile
         far_mask[near_next] = False
-        if far_val is not None:
-            # duplicate targets take the per-target minimum — the value
-            # the cell holds after the round's atomics
-            np.minimum.at(far_val, far_hits, far_hit_vals)
-            far_val[near_next] = np.inf
+        # duplicate targets take the per-target minimum — the value the
+        # cell holds after the round's atomics
+        np.minimum.at(far_val, far_hits, far_hit_vals)
+        far_val[near_next] = np.inf
         near = near_next
 
-    if runtime is not None:
-        runtime.finish()
-
-    return SSSPResult(
-        dist=dist.data.copy(),
-        source=source,
-        method="near-far",
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=stats.finalize(dist.data),
-        counters=device.counters,
-        num_edges=graph.num_edges,
-        extra={
-            "timeline": device.timeline,
-            "iterations": iterations, "delta": delta},
-        faults=runtime.report if runtime is not None else None,
-    )
+    return frame.result(iterations=iterations, delta=delta)
 
 
-def _nearfar_reseed(runtime, exc, far_mask, far_val=None, dist=None):
+def _nearfar_reseed(frame, exc, far_mask, far_val):
     """Roll back after an aborted kernel and rebuild the worklist.
 
-    Every finite vertex of the restored checkpoint goes to the far pile;
-    the next threshold advance re-promotes whatever still needs work.
-    Re-relaxing already-settled vertices costs extra work but cannot
-    change a correct distance.  With the windowed far pile the value
-    mirror is rebuilt from the restored checkpoint's distances.
+    Every finite vertex of the restored checkpoint goes to the far pile,
+    its value mirror rebuilt from the restored distances; the next
+    threshold advance re-promotes whatever still needs work.  Re-relaxing
+    already-settled vertices costs extra work but cannot change a correct
+    distance.  The near set restarts empty.
     """
-    fin = runtime.on_abort(exc)
+    fin = frame.on_abort(exc)
     far_mask[:] = False
     far_mask[fin] = True
-    if far_val is not None:
-        far_val[:] = np.inf
-        far_val[fin] = dist.data[fin]
-    return np.zeros(0, dtype=np.int64), far_mask
+    far_val[:] = np.inf
+    far_val[fin] = frame.dist.data[fin]

@@ -23,21 +23,17 @@ default configuration (all on) is the paper's RDBS.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..faults.plan import InjectedKernelAbort
-from ..faults.runtime import Watchdog, WatchdogTimeout, make_runtime
+from ..faults.runtime import Watchdog, WatchdogTimeout
 from ..graphs.csr import CSRGraph
-from ..gpusim.compaction import compact, compact_multisplit
+from ..gpusim.compaction import compact_multisplit
 from ..gpusim.device import GPUDevice, KernelContext
-from ..gpusim.dynamic import (
-    classify_multisplit,
-    classify_workloads,
-    launch_adaptive,
-)
-from ..gpusim.multisplit import multisplit_enabled
+from ..gpusim.dynamic import classify_multisplit, launch_adaptive
 from ..gpusim.kernels import (
     grid_stride,
     thread_per_item,
@@ -49,8 +45,9 @@ from ..util.scan import sorted_unique_ints
 from ..metrics.workstats import WorkStats
 from ..reorder.pipeline import apply_pro
 from .buckets import DeltaController
+from .engine import SearchFrame
 from .errors import ConvergenceError
-from .relax import DeviceGraph, relax_batch
+from .relax import DeviceGraph, append_worklist, relax_batch
 from .result import SSSPResult
 
 __all__ = ["rdbs_sssp", "default_delta", "BUCKET_RESCALE"]
@@ -108,8 +105,8 @@ def rdbs_sssp(
 ) -> SSSPResult:
     """Run the RDBS engine (or any ablation arm) on a simulated GPU.
 
-    Returns distances in the *original* vertex id space even when ``pro``
-    relabels internally.  ``async_chunk`` sets how many active vertices
+    Returns distances in the ids of ``graph`` even when ``pro`` relabels
+    internally.  ``async_chunk`` sets how many active vertices
     each asynchronous micro-round drains (smaller = fresher distances /
     fewer redundant updates, larger = fewer scheduling rounds).
 
@@ -125,29 +122,22 @@ def rdbs_sssp(
     """
     if async_chunk < 1:
         raise ValueError("async_chunk must be >= 1")
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
     if delta is None:
         delta = default_delta(graph)
     if delta <= 0:
         raise ValueError("delta must be positive")
 
+    run = functools.partial(
+        _rdbs_run, graph, source, pro=pro, adwl=adwl, basyn=basyn,
+        spec=spec, record_trace=record_trace, max_buckets=max_buckets,
+        async_chunk=async_chunk, recovery=recovery,
+    )
     try:
-        return _rdbs_run(
-            graph, source, delta=delta, pro=pro, adwl=adwl, basyn=basyn,
-            spec=spec, record_trace=record_trace, max_buckets=max_buckets,
-            async_chunk=async_chunk, recovery=recovery, rescaled=False,
-        )
+        return run(delta=delta, rescaled=False)
     except ConvergenceError as exc:
         if "bucket limit" not in exc.reason:
             raise
-        return _rdbs_run(
-            graph, source, delta=delta * BUCKET_RESCALE, pro=pro, adwl=adwl,
-            basyn=basyn, spec=spec, record_trace=record_trace,
-            max_buckets=max_buckets, async_chunk=async_chunk,
-            recovery=recovery, rescaled=True,
-        )
+        return run(delta=delta * BUCKET_RESCALE, rescaled=True)
 
 
 def _rdbs_run(
@@ -167,35 +157,30 @@ def _rdbs_run(
 ) -> SSSPResult:
     """One full search at a fixed Δ (see :func:`rdbs_sssp`)."""
     n = graph.num_vertices
-
-    # ------------------------------------------------------------------
-    # preprocessing (not timed, matching the paper's methodology)
-    # ------------------------------------------------------------------
-    work_graph = apply_pro(graph, delta) if pro else graph
-    src = int(work_graph.old_to_new[source]) if pro else source
-
-    device = GPUDevice(spec)
-    dgraph = DeviceGraph(device, work_graph)
+    method = "rdbs" if (pro and adwl and basyn) else _arm_name(pro, adwl, basyn)
+    # PRO preprocessing is not timed, matching the paper's methodology
+    frame = SearchFrame(
+        graph, source, method, spec=spec, recovery=recovery,
+        relabel=(lambda g: apply_pro(g, delta)) if pro else None,
+    )
+    device, dgraph, dist, stats = (
+        frame.device, frame.dgraph, frame.dist, frame.stats
+    )
     # execution strategy follows the graph's actual capabilities: a caller
     # may hand in a graph that already carries heavy offsets (pre-applied
     # PRO) with pro=False — it still gets branch-free light/heavy ranges
     use_offsets = dgraph.heavy is not None
-    dist = device.full(n, np.inf, name="dist")
-    device.host_store(dist, src, 0.0)
     in_queue = np.zeros(n, dtype=bool)  # host mirror of the queue flags
     # device buffer receiving the compacted next-bucket candidates; sized
     # to the edge count because duplicate updates (several heavy edges
     # improving one vertex in one pass) each append an entry.  Write-only
     # scratch — left uninitialized (cudaMalloc semantics)
     candidate_buf = device.empty(
-        max(work_graph.num_edges, 1), dtype=np.int64, name="candidates"
+        max(graph.num_edges, 1), dtype=np.int64, name="candidates"
     )
-    stats = WorkStats()
-    stats.record(np.array([src]), np.array([0.0]), np.array([True]))
     trace = TraceRecorder() if record_trace else None
+    #: per-bucket phase-1 recorders, kept only for the Fig. 2/3 trace
     bucket_phase1: list[WorkStats] = []
-
-    runtime = make_runtime(recovery, device, dgraph, dist, src, "rdbs")
     #: live BASYN toggle — the watchdog degrades it to synchronous mid-run
     basyn_active = basyn
     controller = DeltaController(delta) if basyn_active else None
@@ -211,8 +196,7 @@ def _rdbs_run(
         unsettled = np.isfinite(dist.data) & (dist.data >= lo)
         if not unsettled.any():
             break
-        if runtime is not None:
-            runtime.epoch(int(unsettled.sum()), mark=lo)
+        frame.epoch(mark=lo)
         min_unsettled = float(dist.data[unsettled].min())
 
         # next bucket interval: dynamic (Eq. 1–2) or fixed width
@@ -252,9 +236,12 @@ def _rdbs_run(
         device.annotate(
             "bucket", index=bucket_id, lo=b_lo, hi=b_hi, active=members
         )
+        recorders = stats
         if trace is not None:
             trace.begin_bucket(bucket_id, int(members.size), b_lo, b_hi)
-        p1_stats = WorkStats()
+            p1_stats = WorkStats()
+            bucket_phase1.append(p1_stats)
+            recorders = (stats, p1_stats)
         t_start = device.time_s
 
         # ------------------------------------------------------------------
@@ -273,20 +260,17 @@ def _rdbs_run(
                 max(b_width, dgraph.split_delta) if use_offsets else b_width
             )
             if basyn_active:
-                watchdog = (
-                    runtime.new_watchdog(int(members.size), async_chunk)
-                    if runtime is not None else None
-                )
+                watchdog = frame.watchdog(int(members.size), async_chunk)
                 outcome = _phase1_async(
                     device, dgraph, dist, members, b_lo, b_hi, split,
-                    pro=use_offsets, adwl=adwl, stats=stats, p1_stats=p1_stats,
+                    pro=use_offsets, adwl=adwl, stats=recorders,
                     in_queue=in_queue, trace=trace, chunk_size=async_chunk,
                     watchdog=watchdog,
                 )
             else:
                 outcome = _phase1_sync(
                     device, dgraph, dist, members, b_lo, b_hi, split,
-                    pro=use_offsets, adwl=adwl, stats=stats, p1_stats=p1_stats,
+                    pro=use_offsets, adwl=adwl, stats=recorders,
                     trace=trace,
                 )
             total_rounds += outcome.rounds
@@ -301,90 +285,58 @@ def _rdbs_run(
                 next_lo=b_hi,
             )
         except (WatchdogTimeout, InjectedKernelAbort) as exc:
-            if runtime is None:
-                raise
             # graceful degradation: roll back to the last good checkpoint
             # (bounded retry) and finish the search without BASYN
-            mark = runtime.recover(exc, lo)
+            aborted = True
+            mark = frame.recover(exc, lo)
             lo = 0.0 if mark is None else float(mark)
             in_queue[:] = False
             if basyn_active:
                 basyn_active = False
                 controller = None
-                runtime.note_degraded()
-            bucket_phase1.append(p1_stats)
-            device.annotate(
-                "bucket_close", index=bucket_id, lo=b_lo, hi=b_hi,
-                delta=b_hi - b_lo, epsilon=eps_i, converged=None,
-                threads=None, rounds=None, aborted=True,
-            )
-            bucket_telemetry.append({
-                "bucket": bucket_id, "lo": b_lo, "hi": b_hi,
-                "delta": b_hi - b_lo, "epsilon": eps_i, "converged": None,
-                "threads": None, "rounds": None, "aborted": True,
-            })
-            if trace is not None:
-                trace.end_bucket(device.time_s - t_start)
-            continue
-        device.barrier()  # synchronous mode between buckets
-
-        if controller is not None:
-            controller.feedback(int(outcome.settled.size), outcome.threads_used)
-        bucket_phase1.append(p1_stats)
-        device.annotate(
-            "bucket_close", index=bucket_id, lo=b_lo, hi=b_hi,
-            delta=b_hi - b_lo, epsilon=eps_i,
-            converged=int(outcome.settled.size),
-            threads=outcome.threads_used, rounds=outcome.rounds,
-            aborted=False,
-        )
-        bucket_telemetry.append({
+                frame.runtime.note_degraded()
+        else:
+            aborted = False
+            device.barrier()  # synchronous mode between buckets
+            if controller is not None:
+                controller.feedback(
+                    int(outcome.settled.size), outcome.threads_used
+                )
+            lo = b_hi
+        row = {
             "bucket": bucket_id, "lo": b_lo, "hi": b_hi,
             "delta": b_hi - b_lo, "epsilon": eps_i,
-            "converged": int(outcome.settled.size),
-            "threads": outcome.threads_used, "rounds": outcome.rounds,
-            "aborted": False,
-        })
+            "converged": None if aborted else int(outcome.settled.size),
+            "threads": None if aborted else outcome.threads_used,
+            "rounds": None if aborted else outcome.rounds,
+            "aborted": aborted,
+        }
+        device.annotate("bucket_close", index=bucket_id,
+                        **{k: v for k, v in row.items() if k != "bucket"})
+        bucket_telemetry.append(row)
         if trace is not None:
             trace.end_bucket(device.time_s - t_start)
-        lo = b_hi
 
-    if runtime is not None:
-        runtime.finish()
-    tally = stats.finalize(dist.data)
+    frame.finish()
     if trace is not None:
         for bucket, p1 in zip(trace.buckets, bucket_phase1):
             t = p1.finalize(dist.data)
             bucket.phase1_total_updates = t.total_updates
             bucket.phase1_valid_updates = t.valid_updates
 
-    dist_out = work_graph.to_original_order(dist.data.copy()) if pro else dist.data.copy()
-    method = "rdbs" if (pro and adwl and basyn) else _arm_name(pro, adwl, basyn)
-    return SSSPResult(
-        dist=dist_out,
-        source=source,
-        method=method,
-        graph_name=graph.name,
-        time_ms=device.elapsed_ms,
-        work=tally,
-        counters=device.counters,
+    return frame.result(
         trace=trace,
-        num_edges=graph.num_edges,
-        extra={
-            "timeline": device.timeline,
-            "buckets": buckets_processed,
-            "rounds": total_rounds,
-            "delta0": delta,
-            "final_delta": controller.widths[-1] if controller and controller.widths else delta,
-            "pro": pro,
-            "adwl": adwl,
-            "basyn": basyn,
-            "delta_rescaled": rescaled,
-            "bucket_telemetry": bucket_telemetry,
-            "delta_series": [row["delta"] for row in bucket_telemetry],
-            "epsilon_series": [row["epsilon"] for row in bucket_telemetry],
-        },
-        faults=runtime.report if runtime is not None else None,
+        buckets=buckets_processed,
+        rounds=total_rounds,
+        delta0=delta,
+        final_delta=controller.widths[-1] if controller and controller.widths else delta,
+        pro=pro,
+        adwl=adwl,
+        basyn=basyn,
+        delta_rescaled=rescaled,
+        bucket_telemetry=bucket_telemetry,
+        delta_series=[row["delta"] for row in bucket_telemetry],
+        epsilon_series=[row["epsilon"] for row in bucket_telemetry],
     )
 
 
@@ -412,10 +364,9 @@ def _relax_light(
     *,
     pro: bool,
     adwl: bool,
-    stats: WorkStats,
-    p1_stats: WorkStats,
+    stats: WorkStats | tuple[WorkStats, ...],
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Relax the light edges of ``vertices``.
+    """Relax the light edges of ``vertices``, recording into ``stats``.
 
     Returns ``(targets, values, threads)``: the targets whose atomics
     lowered a cell, the written tentative distances aligned with them
@@ -438,14 +389,11 @@ def _relax_light(
         weight_filter = (split, True)
 
     if adwl:
-        # manager threads classify vertices into workload lists: one 3-way
-        # warp-ballot multisplit, or (fallback) one pass of per-vertex ALU
-        a_cls = thread_per_item(vertices.size)
-        if multisplit_enabled():
-            classes = classify_multisplit(ctx, counts, a_cls)
-        else:
-            ctx.alu(a_cls, ops=2)
-            classes = classify_workloads(counts)
+        # manager threads classify vertices into workload lists with one
+        # 3-way warp-ballot multisplit
+        classes = classify_multisplit(
+            ctx, counts, thread_per_item(vertices.size)
+        )
         if ctx.device.handlers("on_annotate"):
             ctx.device.annotate(
                 "adwl", small=int(classes.small.size),
@@ -462,7 +410,7 @@ def _relax_light(
     for (positions, assignment), batch in zip(groups, batches):
         vs = vertices[positions]
         out = relax_batch(
-            ctx, dgraph, dist, vs, batch, assignment, (stats, p1_stats),
+            ctx, dgraph, dist, vs, batch, assignment, stats,
             weight_filter=weight_filter,
         )
         if out.targets.size:
@@ -488,8 +436,7 @@ def _phase1_async(
     *,
     pro: bool,
     adwl: bool,
-    stats: WorkStats,
-    p1_stats: WorkStats,
+    stats: WorkStats | tuple[WorkStats, ...],
     in_queue: np.ndarray,
     trace: TraceRecorder | None,
     chunk_size: int = ASYNC_CHUNK,
@@ -507,29 +454,20 @@ def _phase1_async(
     rounds = 0
     queue: list[np.ndarray] = [members]
     in_queue[members] = True
-    use_ms = multisplit_enabled()
-    if use_ms:
-        # multisplit placement appends re-activations *densely* behind a
-        # rolling cursor (coalesced stores instead of vertex-scattered
-        # ones); sized to the edge count because every push follows an
-        # updated relaxation.  The spill list absorbs the pathological
-        # overflow case with the legacy vertex-addressed stamp stores.
-        queue_slots = device.empty(
-            max(dgraph.graph.num_edges, 1), dtype=np.int64,
-            name="workload_slots",
-        )
-        queue_spill = device.empty(
-            dist.size, dtype=np.int64, name="workload_spill"
-        )
-        cursor = 0
-    else:
-        # the device-resident workload lists; re-activations are stored
-        # into it by the manager threads (global store traffic).
-        # Write-only scratch, so the allocation stays uninitialized
-        # (cudaMalloc semantics)
-        queue_buf = device.empty(
-            dist.size, dtype=np.int64, name="workload_lists"
-        )
+    # the device-resident workload lists: re-activations append *densely*
+    # behind a rolling cursor (coalesced stores instead of vertex-scattered
+    # ones); sized to the edge count because every push follows an
+    # updated relaxation.  The spill list absorbs the pathological
+    # overflow case with vertex-addressed stamp stores.  Write-only
+    # scratch, so both stay uninitialized (cudaMalloc semantics)
+    queue_slots = device.empty(
+        max(dgraph.graph.num_edges, 1), dtype=np.int64,
+        name="workload_slots",
+    )
+    queue_spill = device.empty(
+        dist.size, dtype=np.int64, name="workload_spill"
+    )
+    cursor = 0
     # per-round drain telemetry is host-side only, so it is gated on an
     # attached on_annotate observer — without one, no payload is built
     note_rounds = bool(device.handlers("on_annotate"))
@@ -560,60 +498,33 @@ def _phase1_async(
 
             targets, values, threads = _relax_light(
                 k, dgraph, dist, chunk, split,
-                pro=pro, adwl=adwl, stats=stats, p1_stats=p1_stats,
+                pro=pro, adwl=adwl, stats=stats,
             )
             threads_used += threads
             k.async_round()
 
             if targets.size:
                 cand = sorted_unique_ints(targets)
-                if use_ms:
-                    # the freshest distance per candidate is the minimum
-                    # of the round's register-resident atomicMin results
-                    # (RelaxOutcome.new_dist) — no re-gather needed; one
-                    # 2-way ballot multisplit partitions push vs skip
-                    pos = np.searchsorted(cand, targets)
-                    dv = np.full(cand.size, np.inf)
-                    np.minimum.at(dv, pos, values)
-                    keys = (
-                        (dv >= b_lo) & (dv < b_hi) & ~in_queue[cand]
-                    ).astype(np.int64)
-                    a_ms = thread_per_item(cand.size)
-                    order, offs = k.multisplit(keys, 2, a_ms)
-                    push = cand[order[offs[1]:]]
-                    if push.size:
-                        csize = int(push.size)
-                        a_push = thread_per_item(csize)
-                        if cursor + csize <= queue_slots.size:
-                            k.scatter(
-                                queue_slots,
-                                cursor + np.arange(csize, dtype=np.int64),
-                                push, a_push,
-                            )
-                            cursor += csize
-                        else:
-                            # overflow spill: legacy vertex-addressed
-                            # stamp stores (same-value, benign)
-                            # repro-static: assume-disjoint
-                            k.scatter(queue_spill, push, push, a_push)
-                        in_queue[push] = True
-                        queue.append(push)
-                        reactivated = csize
-                else:
-                    # manager threads re-read the *fresh* distances
-                    # (BASYN's immediate visibility) as a counted gather
-                    dv = k.gather(dist, cand, thread_per_item(cand.size))
-                    cand = cand[(dv >= b_lo) & (dv < b_hi) & ~in_queue[cand]]
-                    if cand.size:
-                        # manager threads push re-activated vertices back
-                        # onto the workload lists: classify + one queue
-                        # store each
-                        a_push = thread_per_item(cand.size)
-                        k.alu(a_push, ops=2)
-                        k.scatter(queue_buf, cand, cand, a_push)
-                        in_queue[cand] = True
-                        queue.append(cand)
-                        reactivated = int(cand.size)
+                # the freshest distance per candidate is the minimum of
+                # the round's register-resident atomicMin results
+                # (RelaxOutcome.new_dist) — no re-gather needed; one 2-way
+                # ballot multisplit partitions push vs skip
+                pos = np.searchsorted(cand, targets)
+                dv = np.full(cand.size, np.inf)
+                np.minimum.at(dv, pos, values)
+                keys = (
+                    (dv >= b_lo) & (dv < b_hi) & ~in_queue[cand]
+                ).astype(np.int64)
+                a_ms = thread_per_item(cand.size)
+                order, offs = k.multisplit(keys, 2, a_ms)
+                push = cand[order[offs[1]:]]
+                if push.size:
+                    cursor = append_worklist(
+                        k, queue_slots, queue_spill, cursor, push
+                    )
+                    in_queue[push] = True
+                    queue.append(push)
+                    reactivated = int(push.size)
             if note_rounds:
                 device.annotate(
                     "async_round", round=rounds, drained=int(chunk.size),
@@ -639,8 +550,7 @@ def _phase1_sync(
     *,
     pro: bool,
     adwl: bool,
-    stats: WorkStats,
-    p1_stats: WorkStats,
+    stats: WorkStats | tuple[WorkStats, ...],
     trace: TraceRecorder | None,
 ) -> _BucketOutcome:
     """Synchronous phase 1: kernel launch + barrier per iteration (§2.2)."""
@@ -661,7 +571,7 @@ def _phase1_sync(
         with device.launch("phase1_sync") as k:
             targets, _values, threads = _relax_light(
                 k, dgraph, dist, frontier, split,
-                pro=pro, adwl=adwl, stats=stats, p1_stats=p1_stats,
+                pro=pro, adwl=adwl, stats=stats,
             )
         device.barrier()
         threads_used += threads
@@ -701,12 +611,11 @@ def _phase23_fused(
     is consumed host-side by the bucket loop (the real implementation
     compacts into a device queue; the stores are accounted here).
 
-    ``next_lo`` is the closing bucket's upper boundary: the multisplit
-    scan partitions vertices on "still unsettled beyond this bucket"
-    with one ballot round instead of the two-ALU flag-and-scan pass.
+    ``next_lo`` is the closing bucket's upper boundary: the scan
+    partitions vertices on "still unsettled beyond this bucket" with one
+    ballot round.
     """
     n = dist.size
-    use_ms = multisplit_enabled()
     with device.launch("phase23_fused") as k:
         if settled.size:
             if pro:
@@ -722,26 +631,19 @@ def _phase23_fused(
                     weight_filter=weight_filter,
                 )
                 # compact the freshly updated heavy targets into the
-                # next-bucket candidate queue: warp-ballot ranking, or
-                # (fallback) scan + coalesced scatter
+                # next-bucket candidate queue with warp-ballot ranking
                 if (
                     weight_filter is None
                     and candidate_buf is not None
                     and targets.size
                 ):
-                    if use_ms:
-                        compact_multisplit(k, candidate_buf, updated, targets, a)
-                    else:
-                        compact(k, candidate_buf, updated, targets, a)
-        # phase 3: one dist read per vertex to build the next bucket
+                    compact_multisplit(k, candidate_buf, updated, targets, a)
+        # phase 3: one dist read per vertex to build the next bucket,
+        # partitioning "active beyond this bucket" with one ballot round
         a_scan = grid_stride(n, PHASE23_THREADS)
         dvals = k.gather(dist, np.arange(n, dtype=np.int64), a_scan)
-        if use_ms:
-            # partition "active beyond this bucket" with one ballot round
-            k.multisplit(
-                (np.isfinite(dvals) & (dvals >= next_lo)).astype(np.int64),
-                2, a_scan,
-            )
-        else:
-            k.alu(a_scan, ops=2)
+        k.multisplit(
+            (np.isfinite(dvals) & (dvals >= next_lo)).astype(np.int64),
+            2, a_scan,
+        )
         k.device_barrier()  # fused phases separated by a device-wide sync

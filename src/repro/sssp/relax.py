@@ -10,7 +10,8 @@ Every GPU algorithm in this library is built from the same three moves:
   compute tentative distances and resolve them with ``atomicMin``; and
 * :class:`FrontierFlags` — duplicate suppression for the next frontier via
   a device flag array (gather, branch, scatter), the standard GPU worklist
-  idiom.
+  idiom; and :func:`append_worklist`, the dense cursor append the
+  asynchronous engines store re-activated vertices with.
 
 Keeping these in one module guarantees that the baseline, ADDS and RDBS are
 compared on identical memory-access accounting — differences between them
@@ -40,6 +41,7 @@ __all__ = [
     "RelaxOutcome",
     "relax_batch",
     "FrontierFlags",
+    "append_worklist",
 ]
 
 
@@ -333,3 +335,29 @@ class FrontierFlags:
                 sub,
             )
         return fresh
+
+
+def append_worklist(
+    ctx: KernelContext,
+    slots: DeviceArray,
+    spill: DeviceArray,
+    cursor: int,
+    vertices: np.ndarray,
+) -> int:
+    """Store distinct ``vertices`` into a device worklist; returns the
+    advanced cursor.
+
+    The append writes consecutive addresses behind ``cursor`` (coalesced
+    stores).  When ``slots`` is full (a re-activation storm) the stores
+    fall back to the vertex-addressed ``spill`` array, race-free because
+    the ids are distinct.
+    """
+    size = int(vertices.size)
+    a = thread_per_item(size)
+    if cursor + size <= slots.size:
+        ctx.scatter(slots, cursor + np.arange(size, dtype=np.int64),
+                    vertices, a)
+        return cursor + size
+    # repro-static: assume-disjoint
+    ctx.scatter(spill, vertices, vertices, a)
+    return cursor

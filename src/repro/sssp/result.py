@@ -24,11 +24,13 @@ class SSSPResult:
     Attributes
     ----------
     dist:
-        shortest distance from the source to every vertex **in the
-        original vertex id space** (implementations that reorder internally
-        map back before returning); unreachable vertices hold ``inf``.
+        shortest distance from the source to every vertex, **in the ids of
+        the graph the caller passed** — whatever permutation that graph
+        already carries; unreachable vertices hold ``inf``.  Engines that
+        relabel internally (RDBS's PRO) undo exactly their own relabelling
+        (:class:`repro.sssp.engine.SearchFrame`).
     source:
-        the source vertex (original ids).
+        the source vertex, in the same ids.
     method:
         implementation label (``"rdbs"``, ``"bl"``, ``"adds"``, ...).
     graph_name:

@@ -121,12 +121,8 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 class TestRecovery:
     @pytest.mark.parametrize("plan", ALL_PLANS)
-    @pytest.mark.parametrize(
-        "method", ["rdbs", "basyn+pro+adwl", "adds", "bl", "near-far",
-                   "harish-narayanan"]
-    )
+    @pytest.mark.parametrize("method", sorted(GPU_METHODS))
     def test_recovered_distances_exact(self, method, plan):
-        assert method in GPU_METHODS
         r, rep = faulty_sssp(
             KRON, KRON_SRC, method=method, plan=plan, seed=0, spec=SPEC
         )

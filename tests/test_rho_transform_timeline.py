@@ -13,7 +13,14 @@ from repro.graphs import (
     reverse_graph,
     scale_weights,
 )
-from repro.gpusim import GPUDevice, KernelCounters, Timeline, V100, attribute_bottleneck
+from repro.gpusim import (
+    GPUDevice,
+    KernelCounters,
+    Timeline,
+    V100,
+    attribute_bottleneck,
+    kernel_time,
+)
 from repro.gpusim.kernels import grid_stride
 from repro.sssp import (
     default_rho,
@@ -170,6 +177,20 @@ class TestTimeline:
         issue = KernelCounters(inst_executed_other=10**9)
         assert attribute_bottleneck(V100, issue, 1) == "issue"
         assert attribute_bottleneck(V100, KernelCounters(), 0) == "overhead"
+
+    def test_bottleneck_counts_shared_transactions(self):
+        """Multisplit staging traffic occupies issue slots: once it tips
+        the issue term over the memory term, the attribution names the
+        bound the time model charged."""
+        loads = dict(global_load_transactions=10**6, l1_accesses=10**6,
+                     inst_executed_global_loads=10**4)
+        assert attribute_bottleneck(V100, KernelCounters(**loads), 0) == "memory"
+        staged = KernelCounters(**loads, shared_transactions=10**8)
+        issue_s = (
+            staged.total_warp_instructions + staged.shared_transactions
+        ) / V100.issue_slots_per_s
+        assert kernel_time(V100, staged, 0) == issue_s
+        assert attribute_bottleneck(V100, staged, 0) == "issue"
 
     def test_reset_clock_clears_timeline(self):
         dev = GPUDevice(V100)

@@ -5,13 +5,17 @@ import pytest
 
 from repro.graphs import from_edges, kronecker, grid_road_network, path, star
 from repro.gpusim import T4, V100
+from repro.reorder import apply_pro
 from repro.sssp import (
     adds_sssp,
     bl_sssp,
+    dijkstra,
     nearfar_sssp,
     rdbs_sssp,
+    sssp,
     validate_distances,
 )
+from repro.sssp.api import GPU_METHODS, METHODS
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -23,12 +27,8 @@ GRAPHS = {
     "unit-kron": kronecker(7, 8, weights="unit", seed=22),
 }
 
-GPU_FNS = {
-    "bl": bl_sssp,
-    "near-far": nearfar_sssp,
-    "adds": adds_sssp,
-    "rdbs": rdbs_sssp,
-}
+#: every registered GPU engine, so an engine cannot skip these tests
+GPU_FNS = {name: METHODS[name] for name in sorted(GPU_METHODS)}
 
 
 @pytest.mark.parametrize("gname", list(GRAPHS))
@@ -67,6 +67,22 @@ class TestEdgeCases:
                        symmetrize=True)
         r = GPU_FNS[fname](g, 1, spec=SPEC)
         assert list(r.dist) == [4.0, 0.0]
+
+
+class TestCallerIds:
+    """``source`` and ``dist`` are in the ids of the graph the caller
+    passed, even when that graph already carries a relabelling and the
+    engine relabels again internally (PRO)."""
+
+    RELABELLED = apply_pro(kronecker(8, 8, seed=3), 0.5)
+
+    @pytest.mark.parametrize("method", sorted(GPU_METHODS))
+    def test_relabelled_graph(self, method):
+        g = self.RELABELLED
+        assert g.new_to_old is not None
+        r = sssp(g, 5, method=method, spec=SPEC)
+        assert r.source == 5
+        assert np.array_equal(r.dist, dijkstra(g, 5).dist)
 
 
 class TestRdbsEngine:
