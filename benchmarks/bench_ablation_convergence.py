@@ -21,7 +21,8 @@ from repro.bench import (
     write_results,
 )
 from repro.metrics import convergence_from_trace
-from repro.sssp import default_delta, rdbs_sssp, validate_distances
+from repro.sssp import default_delta, validate_distances
+from repro.trace import traced_sssp
 
 DATASET = "web-GL"
 
@@ -40,15 +41,15 @@ def convergence_runs():
     rows = []
     records = []
     for label, kw in arms.items():
-        r = rdbs_sssp(g, src, spec=spec, record_trace=True, **kw)
+        r, tr = traced_sssp(g, src, method="rdbs", spec=spec, **kw)
         validate_distances(g, src, r.dist)
-        curve = convergence_from_trace(r.trace)
+        curve = convergence_from_trace(tr)
         c = r.counters.totals
         rows.append(
             [
                 label,
                 round(r.time_ms, 4),
-                len(r.trace.buckets),
+                len(tr.select("bucket")),
                 round(curve.auc, 3),
                 curve.quantile_position(0.9) + 1,
                 c.barriers,

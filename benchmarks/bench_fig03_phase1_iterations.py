@@ -7,6 +7,7 @@ ratio 4.49).  Also checks §3.3's claim that the peak bucket accounts for
 a large share of total bucket time.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -15,21 +16,51 @@ from repro.bench import format_table, write_results
 from bench_fig02_bucket_sizes import run_traces, SCALES
 
 
+@dataclass(frozen=True)
+class PeakBucket:
+    """The Fig. 3 view of the bucket with the most active vertices."""
+
+    #: active vertices at each phase-1 iteration
+    iterations: list[int]
+    total_updates: int
+    valid_updates: int
+
+
+def phase1_updates(tr) -> dict[int, dict]:
+    """``{bucket index: phase1_updates counter args}`` of one trace."""
+    return {e.args["bucket"]: e.args
+            for e in tr.select("counter", "phase1_updates")}
+
+
+def peak_bucket(tr) -> PeakBucket:
+    """Read the peak bucket's span, rounds and update counts off a trace."""
+    peak = max(tr.select("bucket"), key=lambda e: e.args["active"])
+    index = peak.args["index"]
+    updates = phase1_updates(tr)[index]
+    return PeakBucket(
+        iterations=[e.args["frontier"]
+                    for e in tr.select("counter", "sync_round")
+                    if e.args["bucket"] == index],
+        total_updates=updates["total"],
+        valid_updates=updates["valid"],
+    )
+
+
 @lru_cache(maxsize=1)
 def peak_profiles():
     traces = run_traces()
-    return {s: traces[s].trace.peak_bucket() for s in SCALES}, traces
+    return {s: peak_bucket(traces[s][1]) for s in SCALES}, traces
 
 
 def test_fig3_phase1_iterations(benchmark):
     peaks, traces = benchmark.pedantic(peak_profiles, rounds=1, iterations=1)
 
-    max_iters = max(p.num_iterations for p in peaks.values())
+    max_iters = max(len(p.iterations) for p in peaks.values())
     rows = []
     for i in range(max_iters):
         row = [i + 1]
         for s in SCALES:
-            its = peaks[s].phase1_iterations
+            its = peaks[s].iterations
             row.append(its[i] if i < len(its) else 0)
         rows.append(row)
     text = format_table(
@@ -40,11 +71,10 @@ def test_fig3_phase1_iterations(benchmark):
     summary_rows = [
         [
             f"SCALE={s}",
-            peaks[s].phase1_total_updates,
-            peaks[s].phase1_valid_updates,
+            peaks[s].total_updates,
+            peaks[s].valid_updates,
             round(
-                peaks[s].phase1_total_updates
-                / max(peaks[s].phase1_valid_updates, 1),
+                peaks[s].total_updates / max(peaks[s].valid_updates, 1),
                 2,
             ),
         ]
@@ -68,11 +98,11 @@ def test_fig3_phase1_iterations(benchmark):
     for s in SCALES:
         p = peaks[s]
         # multiple synchronous iterations -> repeated barrier overhead
-        assert p.num_iterations >= 3
+        assert len(p.iterations) >= 3
         # redundant work: total updates exceed valid updates in the peak
-        assert p.phase1_total_updates > p.phase1_valid_updates
+        assert p.total_updates > p.valid_updates
         # iteration curve rises then falls
-        its = np.array(p.phase1_iterations)
+        its = np.array(p.iterations)
         assert its.argmax() < len(its) - 1 or len(its) <= 2
 
 
@@ -87,9 +117,9 @@ def test_fig3_peak_bucket_dominates_runtime(benchmark):
         _, traces = peak_profiles()
         shares = {}
         for s in SCALES:
-            buckets = traces[s].trace.buckets
-            total = sum(b.phase1_total_updates for b in buckets)
-            peak = max(b.phase1_total_updates for b in buckets)
+            totals = [u["total"] for u in phase1_updates(traces[s][1]).values()]
+            total = sum(totals)
+            peak = max(totals)
             shares[s] = peak / max(total, 1)
         return shares
 

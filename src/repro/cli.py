@@ -201,21 +201,23 @@ def _cmd_profile(args) -> int:
         raise SystemExit("profile: provide a graph spec, or --suite NAME "
                          "for a host-time suite profile")
     from .perf.profile import profiling
+    from .trace import kernel_table, tracing
 
     graph = parse_graph_spec(args.graph, seed=args.seed)
     source = _pick_source(graph, args.source)
-    with profiling() as prof:
+    with profiling() as prof, tracing() as tr:
         r = sssp(
             graph, source, method=args.method,
             **_gpu_kwargs(args, args.method),
         )
-    timeline = r.extra.get("timeline")
-    if timeline is None:
-        raise SystemExit(f"method {args.method!r} has no kernel timeline "
-                         "(CPU methods are not profiled)")
+    table = kernel_table(tr.select("kernel"), top=8)
+    if not table:
+        raise SystemExit(f"method {args.method!r} launches no kernels, so "
+                         "it has no kernel timeline (CPU methods are not "
+                         "profiled)")
     print(f"graph: {graph}, method {r.method}, "
           f"simulated {r.time_ms:.4f} ms\n")
-    print(timeline.report())
+    print("\n".join(table))
     c = r.counters.totals
     print(
         f"\ncounters: loads={c.inst_executed_global_loads} "

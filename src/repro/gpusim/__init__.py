@@ -39,8 +39,7 @@ from .multisplit import ballot_rounds
 from .occupancy import OccupancyLimits, OccupancyResult, clamp_grid, occupancy
 from .multi import MultiGPUResult, multi_gpu_sssp, NVLINK2_GBPS, PCIE3_GBPS
 from .spec import A100, T4, V100, GPUSpec
-from .timeline import KernelRecord, Timeline, attribute_bottleneck
-from .timemodel import SERIAL_CPI, kernel_time
+from .timemodel import SERIAL_CPI, attribute_bottleneck, kernel_time
 
 __all__ = [
     "GPUDevice",
@@ -76,8 +75,6 @@ __all__ = [
     "multi_gpu_sssp",
     "NVLINK2_GBPS",
     "PCIE3_GBPS",
-    "Timeline",
-    "KernelRecord",
     "attribute_bottleneck",
     "occupancy",
     "clamp_grid",

@@ -172,29 +172,15 @@ class KernelCounters:
 
 @dataclass
 class DeviceCounters:
-    """Whole-run accumulation plus per-kernel history."""
+    """Whole-run totals only: host state stays constant in the number of
+    launches (the launch-by-launch sequence is :mod:`repro.trace`)."""
 
     totals: KernelCounters = field(default_factory=KernelCounters)
-    per_kernel: list[tuple[str, KernelCounters]] = field(default_factory=list)
 
-    def record(self, name: str, counters: KernelCounters) -> None:
-        """Append one kernel's counters and fold them into the totals."""
-        self.per_kernel.append((name, counters))
+    def record(self, counters: KernelCounters) -> None:
+        """Fold one kernel's counters into the totals."""
         self.totals.merge(counters)
 
-    def kernels_named(self, prefix: str) -> list[KernelCounters]:
-        """All recorded kernels whose name starts with ``prefix``."""
-        return [c for name, c in self.per_kernel if name.startswith(prefix)]
-
-    def as_dict(self, *, per_kernel: bool = False) -> dict:
-        """Stable JSON-safe snapshot of the whole-run counters.
-
-        ``per_kernel=True`` additionally serializes the launch-by-launch
-        history (large; benchmark records keep only the totals).
-        """
-        d: dict = {"totals": self.totals.as_dict()}
-        if per_kernel:
-            d["per_kernel"] = [
-                [name, c.as_dict()] for name, c in self.per_kernel
-            ]
-        return d
+    def as_dict(self) -> dict:
+        """Stable JSON-safe snapshot of the whole-run counters."""
+        return {"totals": self.totals.as_dict()}

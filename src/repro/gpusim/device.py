@@ -523,10 +523,6 @@ class GPUDevice:
         #: memoized coalesce triples for prefix-scan accesses
         #: (see KernelContext._coalesced)
         self._scan_coalesce: dict = {}
-        from .timeline import Timeline
-
-        #: per-launch profile (nvprof --print-gpu-trace analogue)
-        self.timeline = Timeline(spec)
 
     # ------------------------------------------------------------------
     # observation
@@ -664,11 +660,8 @@ class GPUDevice:
         body = kernel_time(self.spec, ctx.counters, ctx.critical_instructions)
         launch_cost = self.spec.kernel_launch_s if host_launch else 0.0
         ctx.time_s = body + ctx._extra_time + launch_cost
-        self.timeline.record(
-            name, self.time_s, ctx.time_s, ctx.counters, ctx.critical_instructions
-        )
         self.time_s += ctx.time_s
-        self.counters.record(name, ctx.counters)
+        self.counters.record(ctx.counters)
         # unlike on_kernel_end (which fires before cache resolution so
         # transforms can still see the launch open), this event sees the
         # final ctx.time_s/counters — the tracer's kernel spans hang here
@@ -690,9 +683,6 @@ class GPUDevice:
         return self.time_s * 1e3
 
     def reset_clock(self) -> None:
-        """Zero the clock, counters and timeline (memory contents are kept)."""
-        from .timeline import Timeline
-
+        """Zero the clock and counters (memory contents are kept)."""
         self.counters = DeviceCounters()
         self.time_s = 0.0
-        self.timeline = Timeline(self.spec)

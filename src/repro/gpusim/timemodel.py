@@ -31,7 +31,8 @@ from typing import NamedTuple
 from .counters import KernelCounters
 from .spec import GPUSpec
 
-__all__ = ["kernel_time", "roofline", "Roofline", "SERIAL_CPI"]
+__all__ = ["kernel_time", "roofline", "Roofline", "SERIAL_CPI",
+           "attribute_bottleneck"]
 
 #: cycles per instruction for a dependent single-warp chain (issue latency
 #: of back-to-back dependent instructions on Volta-class SMs)
@@ -54,9 +55,8 @@ def roofline(
 ) -> Roofline:
     """Compute the issue / memory / critical-path / atomic terms once.
 
-    :func:`kernel_time` charges them and
-    :func:`repro.gpusim.timeline.attribute_bottleneck` names the binding
-    one, so the two can never disagree.
+    :func:`kernel_time` charges them and :func:`attribute_bottleneck`
+    names the binding one, so the two can never disagree.
     """
     # --- issue bound -----------------------------------------------------
     # shared-memory transactions (multisplit staging) occupy LSU issue
@@ -85,6 +85,25 @@ def roofline(
         / (spec.num_sms * spec.clock_hz)
     )
     return Roofline(issue_s, mem_s, crit_s, atom_s)
+
+
+def attribute_bottleneck(
+    spec: GPUSpec, counters: KernelCounters, critical_instructions: int
+) -> str:
+    """Name the resource that bounds this kernel's body.
+
+    One of ``"issue"``, ``"memory"``, ``"critical-path"`` — or
+    ``"overhead"`` when the body is empty (pure launch/sync cost).
+    """
+    issue, mem, crit, _atom = roofline(spec, counters, critical_instructions)
+    best = max(issue, mem, crit)
+    if best == 0:
+        return "overhead"
+    if best == crit:
+        return "critical-path"
+    if best == mem:
+        return "memory"
+    return "issue"
 
 
 def kernel_time(

@@ -97,5 +97,5 @@ def bfs_gpu(
         num_edges=graph.num_edges,
         # the loop always ends with one empty expansion round, so the
         # source's eccentricity is depth - 1
-        extra={"timeline": device.timeline, "depth": depth - 1},
+        extra={"depth": depth - 1},
     )

@@ -3,10 +3,10 @@
 The paper's §3.3 argues synchronous Δ-stepping converges slowly (barriers
 between iteration layers) and §4.3 that asynchronous execution
 "accelerates the convergence of SSSP search".  This module quantifies
-that claim from the recorded traces: the fraction of finally-settled
-vertices as a function of processed buckets / rounds, plus summary indices
-(area-under-curve and the 90%-settled point) that the ablation benchmarks
-and examples report.
+that claim from a traced run (:mod:`repro.trace`): the fraction of
+finally-settled vertices as a function of processed buckets / rounds,
+plus summary indices (area-under-curve and the 90%-settled point) that
+the ablation benchmarks and examples report.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .recorder import TraceRecorder
 
 __all__ = ["ConvergenceCurve", "convergence_from_trace"]
 
@@ -57,13 +55,17 @@ class ConvergenceCurve:
         return int(hit[0]) if hit.size else int(f.size)
 
 
-def convergence_from_trace(trace: TraceRecorder) -> ConvergenceCurve:
-    """Build the curve from a per-bucket execution trace.
+def convergence_from_trace(tracer) -> ConvergenceCurve:
+    """Build the curve from the bucket spans of a
+    :class:`~repro.trace.Tracer`.
 
-    Uses each bucket's initial active count as its settled contribution
-    (in Δ-stepping every bucket member is settled when the bucket closes).
+    Uses each bucket's ``active`` count as its settled contribution (in
+    Δ-stepping every bucket member is settled when the bucket closes).
+    Raises ``ValueError`` if the tracer's ring buffer overflowed.
     """
-    sizes = np.array([b.initial_active for b in trace.buckets], dtype=np.int64)
+    sizes = np.array(
+        [e.args["active"] for e in tracer.select("bucket")], dtype=np.int64
+    )
     settled = np.cumsum(sizes)
     total = int(sizes.sum())
     return ConvergenceCurve(settled=settled, total=total)

@@ -92,7 +92,7 @@ def sssp(graph: CSRGraph, source: int, method: str = "rdbs", **kwargs) -> SSSPRe
         one of :func:`method_names`; defaults to the paper's RDBS.
     **kwargs:
         forwarded to the implementation (``delta=``, ``spec=``,
-        ``record_trace=``, ...).
+        ``recovery=``, ...).
 
     Returns
     -------

@@ -2,10 +2,14 @@
 
 This is the Graph500-reference-style implementation the paper uses for its
 motivation study: fixed Δ, three phases per bucket, and a synchronization
-barrier after every phase-1 iteration.  It records the per-bucket and
-per-iteration traces behind Fig. 2 ("the active vertices in each bucket")
+barrier after every phase-1 iteration.  Under an active tracer
+(:func:`repro.trace.tracing`) it publishes the per-bucket and
+per-iteration series behind Fig. 2 ("the active vertices in each bucket")
 and Fig. 3 ("the detailed analysis of phase 1 in peak overhead of the
-bucket"), including the valid/total update counts.
+bucket"), including the valid/total update counts: one ``bucket`` span
+per bucket, one ``sync_round`` counter per phase-1 iteration and, after
+convergence, one ``phase1_updates`` counter per bucket.  The method has
+no simulated device, so these events sit on the host clock.
 
 The relaxations use the same serialized atomic-min semantics as the GPU
 simulator (:func:`repro.util.scan.serialized_min_outcome`) so update counts
@@ -17,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..metrics.recorder import TraceRecorder
 from ..metrics.workstats import WorkStats
 from ..util.scan import segmented_arange, serialized_min_outcome
 from .result import SSSPResult
@@ -30,10 +33,9 @@ def delta_stepping_cpu(
     source: int,
     delta: float | None = None,
     *,
-    record_trace: bool = False,
     max_buckets: int = 1_000_000,
 ) -> SSSPResult:
-    """Run synchronous Δ-stepping; return distances, work tally and trace.
+    """Run synchronous Δ-stepping; return distances and work tally.
 
     Parameters
     ----------
@@ -44,8 +46,6 @@ def delta_stepping_cpu(
     delta:
         fixed bucket width Δ (defaults to the mean-weight/average-degree
         heuristic of :func:`repro.sssp.gpu_rdbs.default_delta`).
-    record_trace:
-        collect the Fig. 2/3 per-bucket series (small overhead).
     max_buckets:
         safety valve against pathological inputs.
     """
@@ -68,10 +68,12 @@ def delta_stepping_cpu(
     stats.record(
         np.array([source]), np.array([0.0]), np.array([True])
     )  # the source initialization counts as one (valid) update
-    trace = TraceRecorder() if record_trace else None
-    #: per-bucket phase-1 work recorders (trace only), finalized after
-    #: convergence
-    bucket_phase1: list[WorkStats] = []
+    from ..trace.tracer import active_tracer
+
+    tracer = active_tracer()
+    #: per-bucket phase-1 work recorders (traced runs only), classified
+    #: after convergence
+    bucket_phase1: list[tuple[int, WorkStats]] = []
 
     lo = 0.0
     buckets_processed = 0
@@ -91,10 +93,11 @@ def delta_stepping_cpu(
             raise RuntimeError("bucket limit exceeded; check edge weights")
 
         p1 = None
-        if trace is not None:
-            trace.begin_bucket(k, members.size, lo, hi)
+        if tracer is not None:
+            opened_ms = tracer.host_ms()
+            rounds = 0
             p1 = WorkStats()
-            bucket_phase1.append(p1)
+            bucket_phase1.append((k, p1))
 
         # ------------------------------------------------------------------
         # phase 1: relax light edges until the bucket stops changing
@@ -103,8 +106,13 @@ def delta_stepping_cpu(
         frontier = members
         while frontier.size:
             total_iterations += 1
-            if trace is not None:
-                trace.iteration(int(frontier.size))
+            if tracer is not None:
+                rounds += 1
+                tracer.emit(
+                    "counter", "sync_round", tracer.host_ms(), device=-1,
+                    args={"bucket": k, "round": rounds,
+                          "frontier": int(frontier.size)},
+                )
             in_r[frontier] = True
             v, nd, updated = _relax(
                 frontier, dist, row, adj, w, light_mask, light=True
@@ -126,16 +134,26 @@ def delta_stepping_cpu(
         )
         stats.record(v, nd, updated)
 
-        if trace is not None:
-            trace.end_bucket()
+        if tracer is not None:
+            now = tracer.host_ms()
+            tracer.emit(
+                "bucket", f"bucket {k}", opened_ms, now - opened_ms,
+                device=-1,
+                args={"index": k, "lo": lo, "hi": hi,
+                      "active": int(members.size), "rounds": rounds},
+            )
         lo = hi
 
     tally = stats.finalize(dist)
-    if trace is not None:
-        for bucket, p1 in zip(trace.buckets, bucket_phase1):
+    if tracer is not None:
+        now = tracer.host_ms()
+        for bucket_id, p1 in bucket_phase1:
             t = p1.finalize(dist)
-            bucket.phase1_total_updates = t.total_updates
-            bucket.phase1_valid_updates = t.valid_updates
+            tracer.emit(
+                "counter", "phase1_updates", now, device=-1,
+                args={"bucket": bucket_id, "total": t.total_updates,
+                      "valid": t.valid_updates},
+            )
 
     return SSSPResult(
         dist=dist,
@@ -143,7 +161,6 @@ def delta_stepping_cpu(
         method="delta-cpu",
         graph_name=graph.name,
         work=tally,
-        trace=trace,
         num_edges=graph.num_edges,
         extra={
             "buckets": buckets_processed,

@@ -143,7 +143,7 @@ class SearchFrame:
         self.work = self.stats.finalize(self.dist.data)
         return self.work
 
-    def result(self, *, trace=None, **extra) -> SSSPResult:
+    def result(self, **extra) -> SSSPResult:
         """The run's :class:`SSSPResult`, in the caller's ids."""
         work = self.work if self.work is not None else self.finish()
         dist = self.dist.data.copy()
@@ -159,8 +159,7 @@ class SearchFrame:
             time_ms=device.elapsed_ms,
             work=work,
             counters=device.counters,
-            trace=trace,
             num_edges=self.graph.num_edges,
-            extra={"timeline": device.timeline, **extra},
+            extra=extra,
             faults=self.runtime.report if self.runtime is not None else None,
         )

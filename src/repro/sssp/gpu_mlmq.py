@@ -206,9 +206,7 @@ def mlmq_sssp(
     state.enqueue(0, int(_queue_of(src_arr, num_queues)[0]), src_arr)
     state.queue_level[source] = 0
 
-    tally = {"rounds": 0, "stale": 0, "advances": 0, "steals": 0,
-             "stolen_slots": 0}
-    level_telemetry: list[dict] = []
+    tally = {"rounds": 0, "stale": 0, "advances": 0}
     levels_processed = 0
 
     while True:
@@ -224,6 +222,7 @@ def mlmq_sssp(
         lo = lvl * delta
         hi = (lvl + 1) * delta
         frame.epoch(mark=lo)
+        note = False
 
         try:
             # promote overflow entries the window now covers
@@ -244,8 +243,8 @@ def mlmq_sssp(
                 device.annotate(
                     "bucket", index=lvl, lo=lo, hi=hi,
                     active=np.flatnonzero(state.queue_level == lvl),
+                    occupancy=[int(c) for c in state.sizes[lvl]],
                 )
-            occupancy = [int(c) for c in state.sizes[lvl]]
             watchdog = frame.watchdog(state.level_size(lvl),
                                       chunk * num_queues)
             row = _drain_level(
@@ -259,21 +258,18 @@ def mlmq_sssp(
                 flr = np.floor(dist.data / delta)
                 device.annotate("settled",
                                 vertices=np.flatnonzero(flr == lvl))
-                device.annotate(
-                    "bucket_close", index=lvl, lo=lo, hi=hi,
-                    delta=hi - lo, converged=row["converged"],
-                    rounds=row["rounds"], steals=row["steals"],
-                    aborted=False,
-                )
-            row.update({"level": lvl, "lo": lo, "hi": hi,
-                        "occupancy": occupancy})
-            level_telemetry.append(row)
-        except (WatchdogTimeout, InjectedKernelAbort) as exc:
+                device.annotate("bucket_close", index=lvl, delta=hi - lo,
+                                aborted=False, **row)
+        except (WatchdogTimeout, InjectedKernelAbort, ConvergenceError) as exc:
+            if note:
+                # close the aborted level's span, so the next level's
+                # span cannot replace it unclosed
+                device.annotate("bucket_close", index=lvl, delta=hi - lo,
+                                aborted=True)
+            if isinstance(exc, ConvergenceError):
+                frame.recover(exc)
+                break  # the final repair sweeps restore the fixpoint
             _mlmq_reseed(frame, exc, state)
-            continue
-        except ConvergenceError as exc:
-            frame.recover(exc)
-            break  # the final repair sweeps restore the fixpoint
 
     work = frame.finish()
     totals = device.counters.totals
@@ -292,7 +288,6 @@ def mlmq_sssp(
         mlmq_steals=int(totals.mlmq_steals),
         mlmq_stolen_slots=int(totals.mlmq_stolen_slots),
         wasted_relaxation_ratio=float(wasted),
-        level_telemetry=level_telemetry,
     )
 
 
@@ -399,8 +394,6 @@ def _drain_level(
                     pending=state.level_size(lvl),
                 )
     tally["stale"] += stale
-    tally["steals"] += steals
-    tally["stolen_slots"] += stolen
     return {"rounds": rounds, "stale": stale, "steals": steals,
             "stolen_slots": stolen, "converged": converged}
 

@@ -40,7 +40,6 @@ from ..gpusim.kernels import (
     thread_per_vertex_edges,
 )
 from ..gpusim.spec import GPUSpec, V100
-from ..metrics.recorder import TraceRecorder
 from ..util.scan import sorted_unique_ints
 from ..metrics.workstats import WorkStats
 from ..reorder.pipeline import apply_pro
@@ -98,7 +97,6 @@ def rdbs_sssp(
     adwl: bool = True,
     basyn: bool = True,
     spec: GPUSpec = V100,
-    record_trace: bool = False,
     max_buckets: int = 1_000_000,
     async_chunk: int = ASYNC_CHUNK,
     recovery=None,
@@ -129,7 +127,7 @@ def rdbs_sssp(
 
     run = functools.partial(
         _rdbs_run, graph, source, pro=pro, adwl=adwl, basyn=basyn,
-        spec=spec, record_trace=record_trace, max_buckets=max_buckets,
+        spec=spec, max_buckets=max_buckets,
         async_chunk=async_chunk, recovery=recovery,
     )
     try:
@@ -149,7 +147,6 @@ def _rdbs_run(
     adwl: bool,
     basyn: bool,
     spec: GPUSpec,
-    record_trace: bool,
     max_buckets: int,
     async_chunk: int,
     recovery,
@@ -178,19 +175,12 @@ def _rdbs_run(
     candidate_buf = device.empty(
         max(graph.num_edges, 1), dtype=np.int64, name="candidates"
     )
-    trace = TraceRecorder() if record_trace else None
-    #: per-bucket phase-1 recorders, kept only for the Fig. 2/3 trace
-    bucket_phase1: list[WorkStats] = []
     #: live BASYN toggle — the watchdog degrades it to synchronous mid-run
     basyn_active = basyn
     controller = DeltaController(delta) if basyn_active else None
     lo = 0.0
     buckets_processed = 0
     total_rounds = 0
-    #: one row per processed bucket (the Δ_i trajectory of Eq. 1–2),
-    #: surfaced on the result's ``extra`` and mirrored by the trace layer's
-    #: bucket spans.  Aborted buckets keep None feedback fields.
-    bucket_telemetry: list[dict] = []
 
     while True:
         unsettled = np.isfinite(dist.data) & (dist.data >= lo)
@@ -236,13 +226,6 @@ def _rdbs_run(
         device.annotate(
             "bucket", index=bucket_id, lo=b_lo, hi=b_hi, active=members
         )
-        recorders = stats
-        if trace is not None:
-            trace.begin_bucket(bucket_id, int(members.size), b_lo, b_hi)
-            p1_stats = WorkStats()
-            bucket_phase1.append(p1_stats)
-            recorders = (stats, p1_stats)
-        t_start = device.time_s
 
         # ------------------------------------------------------------------
         # phase 1: light edges
@@ -263,15 +246,15 @@ def _rdbs_run(
                 watchdog = frame.watchdog(int(members.size), async_chunk)
                 outcome = _phase1_async(
                     device, dgraph, dist, members, b_lo, b_hi, split,
-                    pro=use_offsets, adwl=adwl, stats=recorders,
-                    in_queue=in_queue, trace=trace, chunk_size=async_chunk,
-                    watchdog=watchdog,
+                    pro=use_offsets, adwl=adwl, stats=stats,
+                    in_queue=in_queue, bucket=bucket_id,
+                    chunk_size=async_chunk, watchdog=watchdog,
                 )
             else:
                 outcome = _phase1_sync(
                     device, dgraph, dist, members, b_lo, b_hi, split,
-                    pro=use_offsets, adwl=adwl, stats=recorders,
-                    trace=trace,
+                    pro=use_offsets, adwl=adwl, stats=stats,
+                    bucket=bucket_id,
                 )
             total_rounds += outcome.rounds
             device.annotate("settled", vertices=outcome.settled)
@@ -303,29 +286,19 @@ def _rdbs_run(
                     int(outcome.settled.size), outcome.threads_used
                 )
             lo = b_hi
-        row = {
-            "bucket": bucket_id, "lo": b_lo, "hi": b_hi,
-            "delta": b_hi - b_lo, "epsilon": eps_i,
-            "converged": None if aborted else int(outcome.settled.size),
-            "threads": None if aborted else outcome.threads_used,
-            "rounds": None if aborted else outcome.rounds,
-            "aborted": aborted,
-        }
-        device.annotate("bucket_close", index=bucket_id,
-                        **{k: v for k, v in row.items() if k != "bucket"})
-        bucket_telemetry.append(row)
-        if trace is not None:
-            trace.end_bucket(device.time_s - t_start)
-
-    frame.finish()
-    if trace is not None:
-        for bucket, p1 in zip(trace.buckets, bucket_phase1):
-            t = p1.finalize(dist.data)
-            bucket.phase1_total_updates = t.total_updates
-            bucket.phase1_valid_updates = t.valid_updates
+        if device.handlers("on_annotate"):
+            # the Δ_i trajectory of Eq. 1–2; aborted buckets carry None
+            # feedback fields
+            device.annotate(
+                "bucket_close", index=bucket_id, lo=b_lo, hi=b_hi,
+                delta=b_hi - b_lo, epsilon=eps_i,
+                converged=None if aborted else int(outcome.settled.size),
+                threads=None if aborted else outcome.threads_used,
+                rounds=None if aborted else outcome.rounds,
+                aborted=aborted,
+            )
 
     return frame.result(
-        trace=trace,
         buckets=buckets_processed,
         rounds=total_rounds,
         delta0=delta,
@@ -334,9 +307,6 @@ def _rdbs_run(
         adwl=adwl,
         basyn=basyn,
         delta_rescaled=rescaled,
-        bucket_telemetry=bucket_telemetry,
-        delta_series=[row["delta"] for row in bucket_telemetry],
-        epsilon_series=[row["epsilon"] for row in bucket_telemetry],
     )
 
 
@@ -364,7 +334,7 @@ def _relax_light(
     *,
     pro: bool,
     adwl: bool,
-    stats: WorkStats | tuple[WorkStats, ...],
+    stats: WorkStats,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Relax the light edges of ``vertices``, recording into ``stats``.
 
@@ -436,9 +406,9 @@ def _phase1_async(
     *,
     pro: bool,
     adwl: bool,
-    stats: WorkStats | tuple[WorkStats, ...],
+    stats: WorkStats,
     in_queue: np.ndarray,
-    trace: TraceRecorder | None,
+    bucket: int,
     chunk_size: int = ASYNC_CHUNK,
     watchdog: Watchdog | None = None,
 ) -> _BucketOutcome:
@@ -493,8 +463,6 @@ def _phase1_async(
             rounds += 1
             if watchdog is not None:
                 watchdog.tick()
-            if trace is not None:
-                trace.iteration(int(chunk.size))
 
             targets, values, threads = _relax_light(
                 k, dgraph, dist, chunk, split,
@@ -527,7 +495,8 @@ def _phase1_async(
                     reactivated = int(push.size)
             if note_rounds:
                 device.annotate(
-                    "async_round", round=rounds, drained=int(chunk.size),
+                    "async_round", bucket=bucket, round=rounds,
+                    drained=int(chunk.size),
                     reactivated=reactivated,
                     pending=int(sum(part.size for part in queue)),
                 )
@@ -550,8 +519,8 @@ def _phase1_sync(
     *,
     pro: bool,
     adwl: bool,
-    stats: WorkStats | tuple[WorkStats, ...],
-    trace: TraceRecorder | None,
+    stats: WorkStats,
+    bucket: int,
 ) -> _BucketOutcome:
     """Synchronous phase 1: kernel launch + barrier per iteration (§2.2)."""
     settled_mask = np.zeros(dist.size, dtype=bool)
@@ -562,11 +531,10 @@ def _phase1_sync(
     while frontier.size:
         rounds += 1
         settled_mask[frontier] = True
-        if trace is not None:
-            trace.iteration(int(frontier.size))
         if note_rounds:
             device.annotate(
-                "sync_round", round=rounds, frontier=int(frontier.size)
+                "sync_round", bucket=bucket, round=rounds,
+                frontier=int(frontier.size),
             )
         with device.launch("phase1_sync") as k:
             targets, _values, threads = _relax_light(

@@ -14,6 +14,7 @@ gate.  Guide: ``docs/observability.md``.
 from .driver import traced_sssp
 from .export import (
     format_summary,
+    kernel_table,
     load_trace,
     to_chrome,
     write_chrome,
@@ -39,4 +40,5 @@ __all__ = [
     "write_jsonl",
     "load_trace",
     "format_summary",
+    "kernel_table",
 ]

@@ -26,6 +26,7 @@ __all__ = [
     "write_jsonl",
     "load_trace",
     "format_summary",
+    "kernel_table",
 ]
 
 SCHEMA = "repro.trace/1"
@@ -191,6 +192,44 @@ def _load_jsonl(fh) -> tuple[list[TraceEvent], dict]:
     return events, meta
 
 
+def kernel_table(events, top: int = 12) -> list[str]:
+    """Per-kernel table and bottleneck split of a trace's kernel spans.
+
+    Rows are kernel names by total simulated time; the bottleneck line
+    splits that time by each span's ``bound``.  Shared by
+    ``trace summary`` and ``cli profile``; empty without kernel spans.
+    """
+    kernels = [e for e in events if e.kind == "kernel"]
+    if not kernels:
+        return []
+    per: dict[str, list[TraceEvent]] = defaultdict(list)
+    bound: dict[str, float] = defaultdict(float)
+    for e in kernels:
+        per[e.name].append(e)
+        if "bound" in e.args:
+            bound[e.args["bound"]] += e.dur_ms
+    total = sum(e.dur_ms for e in kernels)
+    share = max(total, 1e-30)
+    lines = [
+        f"kernels ({len(kernels)} launches, {total:.4f} ms simulated):",
+        f"  {'kernel':<28} {'launches':>8} {'total ms':>10} {'share':>7}"
+        f" {'threads':>10}",
+    ]
+    rows = sorted(per.items(), key=lambda kv: -sum(e.dur_ms for e in kv[1]))
+    for name, evs in rows[:top]:
+        ms = sum(e.dur_ms for e in evs)
+        threads = sum(e.args.get("threads", 0) for e in evs)
+        lines.append(f"  {name:<28} {len(evs):>8} {ms:>10.4f}"
+                     f" {ms / share:>7.1%} {threads:>10}")
+    if len(rows) > top:
+        lines.append(f"  ... and {len(rows) - top} more kernel(s)")
+    if bound:
+        lines.append("  bottlenecks: " + ", ".join(
+            f"{k}={v / share:.1%}"
+            for k, v in sorted(bound.items(), key=lambda kv: -kv[1])))
+    return lines
+
+
 def format_summary(trace, meta: dict | None = None) -> str:
     """Human-readable digest of a trace (the ``cli trace summary`` body)."""
     events = _events_of(trace)
@@ -209,23 +248,10 @@ def format_summary(trace, meta: dict | None = None) -> str:
     lines.append("  by kind: " + ", ".join(
         f"{k}={n}" for k, n in sorted(kinds.items())))
 
-    kernels = [e for e in events if e.kind == "kernel"]
-    if kernels:
-        per: dict[str, list[TraceEvent]] = defaultdict(list)
-        for e in kernels:
-            per[e.name].append(e)
-        total = sum(e.dur_ms for e in kernels)
-        lines.append(f"\nkernels ({len(kernels)} launches, "
-                     f"{total:.3f} ms simulated):")
-        rows = sorted(per.items(),
-                      key=lambda kv: -sum(e.dur_ms for e in kv[1]))
-        for name, evs in rows[:12]:
-            ms = sum(e.dur_ms for e in evs)
-            threads = sum(e.args.get("threads", 0) for e in evs)
-            lines.append(f"  {name:<28} {len(evs):>5}x  {ms:>9.3f} ms"
-                         f"  {threads:>10} threads")
-        if len(rows) > 12:
-            lines.append(f"  ... and {len(rows) - 12} more kernel(s)")
+    table = kernel_table(events)
+    if table:
+        lines.append("")
+        lines.extend(table)
 
     buckets = [e for e in events if e.kind == "bucket"]
     if buckets:

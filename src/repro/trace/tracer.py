@@ -36,6 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from ..gpusim.device import register_global_observer, unregister_global_observer
+from ..gpusim.timemodel import attribute_bottleneck
 from ..perf import profile as _hostprof
 
 __all__ = [
@@ -101,12 +102,15 @@ def _scalarize(payload: dict) -> dict:
 
     Arrays are summarized by their size (the trace records *shape*, not
     bulk data — bulk payloads would defeat the ring buffer's memory
-    bound); NumPy scalars are unwrapped to native Python numbers.
+    bound), while short integer lists (MLMQ's per-queue occupancy) are
+    kept; NumPy scalars are unwrapped to native Python numbers.
     """
     out: dict = {}
     for key, value in payload.items():
         if isinstance(value, np.ndarray):
             out[key] = int(value.size)
+        elif isinstance(value, list):
+            out[key] = [int(v) for v in value]
         elif isinstance(value, (np.integer,)):
             out[key] = int(value)
         elif isinstance(value, (np.floating,)):
@@ -165,21 +169,35 @@ class Tracer:
         """The buffered events, oldest first."""
         return list(self.events)
 
+    def select(self, kind: str, name: str | None = None) -> list[TraceEvent]:
+        """The buffered events of one ``kind`` (and ``name``), oldest first.
+
+        Figure series are read through here, so it refuses a trace whose
+        ring buffer overflowed: the evicted oldest events would silently
+        shorten the series.
+        """
+        if self.dropped:
+            raise ValueError(f"trace dropped {self.dropped} event(s); "
+                             "rerun with a larger tracer capacity")
+        return [e for e in self.events
+                if e.kind == kind and (name is None or e.name == name)]
+
     # ------------------------------------------------------------------
     # host-side entry points (CLI / bench / profiler regions)
     # ------------------------------------------------------------------
-    def _host_ms(self) -> float:
+    def host_ms(self) -> float:
+        """Host wall-clock milliseconds since the tracer was created."""
         return (time.perf_counter() - self._t0_host) * 1e3
 
     def mark(self, name: str, **args) -> None:
         """Record a host-level instant (suite cell boundary, CLI phase)."""
-        self.emit("mark", name, self._host_ms(), device=-1,
+        self.emit("mark", name, self.host_ms(), device=-1,
                   args=_scalarize(args))
 
     def host_region(self, name: str, seconds: float) -> None:
         """Record a completed host profiler region (duration known only
         at exit, so the span is backdated by its own length)."""
-        now = self._host_ms()
+        now = self.host_ms()
         dur = seconds * 1e3
         self.emit("host", name, max(now - dur, 0.0), dur, device=-1)
 
@@ -197,7 +215,7 @@ class Tracer:
                       "index": int(ev.index), "detail": ev.detail},
             )
         for action in report.actions:
-            self.emit("recovery", action, self._host_ms(), device=-1)
+            self.emit("recovery", action, self.host_ms(), device=-1)
 
     # ------------------------------------------------------------------
     # device observer events
@@ -215,7 +233,8 @@ class Tracer:
 
         Dispatched by the device *after* the launch's simulated time is
         resolved, so ``ctx.time_s`` is final and the span's start is
-        ``device.time_s - ctx.time_s``.
+        ``device.time_s - ctx.time_s``.  ``bound`` names the roofline
+        term that limited the body (:func:`attribute_bottleneck`).
         """
         c = ctx.counters
         args = {
@@ -224,6 +243,7 @@ class Tracer:
             "loads": int(c.inst_executed_global_loads),
             "stores": int(c.inst_executed_global_stores),
             "atomics": int(c.inst_executed_atomics),
+            "transactions": int(c.total_transactions),
             "l1_accesses": int(c.l1_accesses),
             "l1_hits": int(c.l1_hits),
             "atomic_conflicts": int(c.atomic_conflicts),
@@ -231,6 +251,9 @@ class Tracer:
             "async_rounds": int(c.async_rounds),
             "barriers": int(c.barriers),
             "critical_instructions": int(ctx.critical_instructions),
+            "bound": attribute_bottleneck(
+                device.spec, c, ctx.critical_instructions
+            ),
         }
         if c.multisplit_ops:
             # warp-ballot multisplit telemetry (docs/observability.md):
@@ -296,8 +319,8 @@ class Tracer:
         """Δ_i widths of the closed bucket spans, in open order."""
         return [
             float(e.args.get("hi", 0.0)) - float(e.args.get("lo", 0.0))
-            for e in self.events
-            if e.kind == "bucket" and e.device == device
+            for e in self.select("bucket")
+            if e.device == device
         ]
 
     def __len__(self) -> int:

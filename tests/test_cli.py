@@ -95,7 +95,7 @@ class TestCommands:
     def test_profile(self, capsys):
         assert main(["profile", "kron:8,4", "--method", "rdbs"]) == 0
         out = capsys.readouterr().out
-        assert "timeline" in out and "bottlenecks" in out
+        assert "kernels (" in out and "bottlenecks:" in out
         assert "per-primitive host time" in out
 
     def test_profile_json_schema(self, tmp_path, capsys):

@@ -5,17 +5,18 @@ import pytest
 
 from repro.graphs import kronecker, largest_component_vertices
 from repro.gpusim import V100
-from repro.metrics import ConvergenceCurve, TraceRecorder, convergence_from_trace
-from repro.sssp import delta_stepping_cpu, rdbs_sssp
+from repro.metrics import ConvergenceCurve, convergence_from_trace
+from repro.trace import Tracer, traced_sssp
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
 
 def make_trace(sizes):
-    t = TraceRecorder()
+    t = Tracer()
     for i, s in enumerate(sizes):
-        t.begin_bucket(i, s, float(i), float(i + 1))
-        t.end_bucket()
+        t.emit("bucket", f"bucket {i}", float(i), 1.0,
+               args={"index": i, "lo": float(i), "hi": float(i + 1),
+                     "active": s})
     return t
 
 
@@ -42,18 +43,27 @@ class TestCurve:
             c.quantile_position(0.0)
 
     def test_empty_trace(self):
-        c = convergence_from_trace(TraceRecorder())
+        c = convergence_from_trace(Tracer())
         assert c.total == 0
         assert c.auc == 0.0
         assert c.quantile_position(0.9) == 0
+
+    def test_overflowed_trace_rejected(self):
+        """A ring buffer that dropped its oldest buckets would shift the
+        whole curve, so the reader refuses it."""
+        t = Tracer(capacity=2)
+        for i in range(3):
+            t.emit("bucket", f"bucket {i}", float(i), args={"active": 1})
+        with pytest.raises(ValueError, match="dropped"):
+            convergence_from_trace(t)
 
 
 class TestOnRealRuns:
     def test_rdbs_trace_produces_curve(self):
         g = kronecker(9, 8, weights="int", seed=95)
         src = int(largest_component_vertices(g)[0])
-        r = rdbs_sssp(g, src, spec=SPEC, record_trace=True)
-        c = convergence_from_trace(r.trace)
+        _r, tr = traced_sssp(g, src, method="rdbs", spec=SPEC)
+        c = convergence_from_trace(tr)
         assert c.total > 0
         assert 0 < c.auc <= 1.0
 
@@ -62,11 +72,11 @@ class TestOnRealRuns:
         settlement versus a deliberately narrow fixed Δ."""
         g = kronecker(9, 8, weights="int", seed=96)
         src = int(largest_component_vertices(g)[0])
-        dynamic = rdbs_sssp(g, src, spec=SPEC, record_trace=True)
-        narrow = delta_stepping_cpu(
-            g, src, delta=dynamic.extra["delta0"] / 4, record_trace=True
+        dynamic, t_dyn = traced_sssp(g, src, method="rdbs", spec=SPEC)
+        _narrow, t_nar = traced_sssp(
+            g, src, method="delta-cpu", delta=dynamic.extra["delta0"] / 4
         )
-        c_dyn = convergence_from_trace(dynamic.trace)
-        c_nar = convergence_from_trace(narrow.trace)
-        assert len(dynamic.trace.buckets) <= len(narrow.trace.buckets)
+        c_dyn = convergence_from_trace(t_dyn)
+        c_nar = convergence_from_trace(t_nar)
+        assert len(t_dyn.select("bucket")) <= len(t_nar.select("bucket"))
         assert c_dyn.quantile_position(0.9) <= c_nar.quantile_position(0.9)

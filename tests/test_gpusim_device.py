@@ -187,6 +187,28 @@ class TestTimeAndEvents:
         dev.barrier()
         assert dev.elapsed_ms == pytest.approx(V100.barrier_s * 1e3)
 
+    def test_host_state_bounded_in_launch_count(self, dev):
+        """Untraced, a device keeps only running totals: memory held
+        after many launches does not grow with their number."""
+        import gc
+        import tracemalloc
+
+        with dev.launch("warm"):
+            pass
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5_000):
+                with dev.launch("empty"):
+                    pass
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert dev.counters.totals.kernel_launches == 5_001
+        assert held < 16 * 1024
+
 
 class TestCriticalPath:
     def test_imbalanced_kernel_slower_than_balanced(self, dev):

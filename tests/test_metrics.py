@@ -1,10 +1,9 @@
-"""Tests for work accounting, trace recording and throughput metrics."""
+"""Tests for work accounting and throughput metrics."""
 
 import numpy as np
 import pytest
 
 from repro.metrics import (
-    TraceRecorder,
     WorkStats,
     geometric_mean,
     gteps,
@@ -54,39 +53,6 @@ class TestWorkStats:
             s.record(np.array([0]), np.array([1.0]), np.array([False]))
         assert s.checks == 10
         assert s.total_updates == 0
-
-
-class TestTraceRecorder:
-    def test_bucket_lifecycle(self):
-        t = TraceRecorder()
-        t.begin_bucket(0, 5, 0.0, 1.0)
-        t.iteration(5)
-        t.iteration(3)
-        t.end_bucket(time_s=2.0)
-        t.begin_bucket(1, 9, 1.0, 2.0)
-        t.iteration(9)
-        t.end_bucket(time_s=1.0)
-        assert t.active_per_bucket() == [(0, 5), (1, 9)]
-        assert t.buckets[0].num_iterations == 2
-        assert t.peak_bucket().bucket_id == 1
-        assert t.peak_time_fraction() == pytest.approx(2 / 3)
-
-    def test_iteration_without_bucket_ignored(self):
-        t = TraceRecorder()
-        t.iteration(4)  # no open bucket: no crash, no record
-        assert t.buckets == []
-
-    def test_peak_of_empty(self):
-        t = TraceRecorder()
-        assert t.peak_bucket() is None
-        assert t.peak_time_fraction() == 0.0
-
-    def test_bucket_interval_recorded(self):
-        t = TraceRecorder()
-        t.begin_bucket(3, 1, 6.0, 8.5)
-        t.end_bucket()
-        b = t.buckets[0]
-        assert b.delta_lo == 6.0 and b.delta_hi == 8.5
 
 
 class TestThroughput:

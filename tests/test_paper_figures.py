@@ -14,6 +14,7 @@ from repro.graphs import kronecker, paper_fig1_graph, paper_fig4_graph
 from repro.gpusim import V100
 from repro.reorder import apply_pro
 from repro.sssp import bl_sssp, delta_stepping_cpu, validate_distances
+from repro.trace import tracing
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -76,12 +77,25 @@ class TestFig2Fig3Shapes:
     @pytest.fixture(scope="class")
     def trace_run(self):
         g = kronecker(10, 16, weights="unit", seed=99)
-        return delta_stepping_cpu(g, 0, delta=0.1, record_trace=True)
+        with tracing() as tr:
+            delta_stepping_cpu(g, 0, delta=0.1)
+        return tr
+
+    @staticmethod
+    def peak(tr):
+        """The peak bucket span, its round counters and update counter."""
+        span = max(tr.select("bucket"), key=lambda e: e.args["active"])
+        index = span.args["index"]
+        rounds = [e for e in tr.select("counter", "sync_round")
+                  if e.args["bucket"] == index]
+        (updates,) = [e for e in tr.select("counter", "phase1_updates")
+                      if e.args["bucket"] == index]
+        return span, rounds, updates.args
 
     def test_bucket_sizes_rise_then_fall(self, trace_run):
         """Fig. 2: 'the number of active vertices increases dramatically in
         a given bucket, then decreases gradually in subsequent buckets'."""
-        sizes = [b.initial_active for b in trace_run.trace.buckets]
+        sizes = [e.args["active"] for e in trace_run.select("bucket")]
         peak = int(np.argmax(sizes))
         assert 0 < peak < len(sizes) - 1
         assert sizes[peak] > 10 * sizes[0]
@@ -91,10 +105,10 @@ class TestFig2Fig3Shapes:
         """Fig. 3: the peak bucket's phase 1 runs multiple synchronous
         iterations (the paper reports > 20 at SCALE 24/25; iteration depth
         shrinks with graph scale, so >= 3 at SCALE 10)."""
-        peak = trace_run.trace.peak_bucket()
-        assert peak.num_iterations >= 3
+        _span, rounds, _updates = self.peak(trace_run)
+        assert len(rounds) >= 3
 
     def test_total_updates_exceed_valid(self, trace_run):
         """Fig. 3 annotation: total updates well above valid updates."""
-        peak = trace_run.trace.peak_bucket()
-        assert peak.phase1_total_updates > peak.phase1_valid_updates > 0
+        _span, _rounds, updates = self.peak(trace_run)
+        assert updates["total"] > updates["valid"] > 0

@@ -10,6 +10,7 @@ import pytest
 from repro.graphs import grid_road_network, kronecker, largest_component_vertices
 from repro.gpusim import V100
 from repro.sssp import DeltaController, rdbs_sssp, validate_distances
+from repro.trace import traced_sssp
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -41,11 +42,9 @@ class TestDynamicDeltaHeavySplit:
     def test_width_growth_triggers_resplit_kernel(self):
         g = grid_road_network(32, 32, seed=12)
         src = int(largest_component_vertices(g)[0])
-        r = rdbs_sssp(g, src, delta=50.0, spec=SPEC)
+        r, tr = traced_sssp(g, src, method="rdbs", delta=50.0, spec=SPEC)
         validate_distances(g, src, r.dist)
-        resplits = [
-            c for name, c in r.counters.per_kernel if name == "resplit_offsets"
-        ]
+        resplits = tr.select("kernel", "resplit_offsets")
         assert len(resplits) >= 1
 
 

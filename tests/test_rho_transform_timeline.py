@@ -1,4 +1,5 @@
-"""Tests for ρ-stepping, graph transforms and the kernel timeline."""
+"""Tests for ρ-stepping, graph transforms and the kernel timeline (the
+tracer's kernel spans)."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from repro.graphs import (
 from repro.gpusim import (
     GPUDevice,
     KernelCounters,
-    Timeline,
     V100,
     attribute_bottleneck,
     kernel_time,
@@ -29,6 +29,7 @@ from repro.sssp import (
     sssp,
     validate_distances,
 )
+from repro.trace import kernel_table, traced_sssp, tracing
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -133,40 +134,44 @@ class TestTransforms:
 
 class TestTimeline:
     def test_records_launches(self):
-        dev = GPUDevice(V100)
-        arr = dev.zeros(1024)
-        with dev.launch("alpha") as k:
-            k.gather(arr, np.arange(1024), grid_stride(1024, 256))
-        with dev.launch("alpha") as k:
-            k.gather(arr, np.arange(1024), grid_stride(1024, 256))
-        with dev.launch("beta"):
-            pass
-        tl = dev.timeline
-        assert len(tl.records) == 3
-        by = tl.by_kernel()
-        assert by["alpha"][0] == 2
-        assert by["beta"][0] == 1
-        assert tl.total_s == pytest.approx(dev.time_s)
+        with tracing() as tr:
+            dev = GPUDevice(V100)
+            arr = dev.zeros(1024)
+            with dev.launch("alpha") as k:
+                k.gather(arr, np.arange(1024), grid_stride(1024, 256))
+            with dev.launch("alpha") as k:
+                k.gather(arr, np.arange(1024), grid_stride(1024, 256))
+            with dev.launch("beta"):
+                pass
+        spans = tr.select("kernel")
+        assert [e.name for e in spans] == ["alpha", "alpha", "beta"]
+        assert spans[0].args["loads"] > 0
+        assert spans[0].args["transactions"] > 0
+        assert spans[2].args["bound"] == "overhead"
+        assert sum(e.dur_ms for e in spans) == pytest.approx(dev.time_s * 1e3)
 
     def test_records_are_ordered(self):
-        dev = GPUDevice(V100)
-        with dev.launch("a"):
-            pass
-        with dev.launch("b"):
-            pass
-        r0, r1 = dev.timeline.records
-        assert r1.start_s >= r0.end_s
+        with tracing() as tr:
+            dev = GPUDevice(V100)
+            with dev.launch("a"):
+                pass
+            with dev.launch("b"):
+                pass
+        r0, r1 = tr.select("kernel")
+        assert r1.ts_ms >= r0.ts_ms + r0.dur_ms - 1e-12
 
     def test_top_and_report(self):
-        dev = GPUDevice(V100)
-        arr = dev.zeros(4096)
-        with dev.launch("hot") as k:
-            k.gather(arr, np.arange(4096), grid_stride(4096, 256))
-        with dev.launch("cold"):
-            pass
-        top = dev.timeline.top(1)
-        assert top[0][0] in ("hot", "cold")
-        text = dev.timeline.report()
+        with tracing() as tr:
+            dev = GPUDevice(V100)
+            arr = dev.zeros(4096)
+            with dev.launch("hot") as k:
+                k.gather(arr, np.arange(4096), grid_stride(4096, 256))
+            with dev.launch("cold"):
+                pass
+        lines = kernel_table(tr.select("kernel"), top=1)
+        assert lines[2].split()[0] == "hot"  # the costliest kernel first
+        assert "1 more kernel" in lines[3]
+        text = "\n".join(lines)
         assert "hot" in text and "bottlenecks" in text
 
     def test_bottleneck_attribution(self):
@@ -193,16 +198,25 @@ class TestTimeline:
         assert attribute_bottleneck(V100, staged, 0) == "issue"
 
     def test_reset_clock_clears_timeline(self):
-        dev = GPUDevice(V100)
-        with dev.launch("x"):
-            pass
-        dev.reset_clock()
-        assert dev.timeline.records == []
+        with tracing() as tr:
+            dev = GPUDevice(V100)
+            with dev.launch("x"):
+                pass
+            dev.reset_clock()
+            assert dev.time_s == 0.0
+            assert dev.counters.totals.kernel_launches == 0
+            with dev.launch("y"):
+                pass
+        x, y = tr.select("kernel")
+        assert x.ts_ms == 0.0 and y.ts_ms == 0.0  # the clock restarted
 
     def test_gpu_results_carry_timeline(self):
         g = kronecker(7, 6, weights="int", seed=47)
-        r = sssp(g, 0, method="rdbs", spec=SPEC)
-        tl = r.extra["timeline"]
-        assert isinstance(tl, Timeline)
-        assert tl.total_s > 0
-        assert "phase1" in " ".join(name for name, _ in tl.by_kernel().items())
+        r, tr = traced_sssp(g, 0, method="rdbs", spec=SPEC)
+        spans = tr.select("kernel")
+        assert 0 < sum(e.dur_ms for e in spans) <= r.time_ms
+        assert "phase1" in " ".join(e.name for e in spans)
+        assert {e.args["bound"] for e in spans} <= {
+            "issue", "memory", "critical-path", "overhead"
+        }
+        assert not hasattr(r, "trace") and "timeline" not in r.extra

@@ -1,8 +1,9 @@
 """Conservation invariants of the simulator's accounting.
 
 Property-based checks that the measurement plumbing cannot silently leak:
-per-kernel counters sum to the device totals, the timeline's durations sum
-to the clock (minus inter-kernel barriers), transactions never undercount
+per-kernel counters (the tracer's kernel spans) sum to the device totals,
+the spans' durations sum to the clock (minus inter-kernel barriers),
+transactions never undercount
 instructions' minimum traffic, hits never exceed accesses, and SIMT lane
 accounting stays within physical bounds.
 """
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from repro.graphs import from_edges, kronecker
 from repro.gpusim import V100
 from repro.sssp import sssp
+from repro.trace import traced_sssp
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -41,30 +43,35 @@ def run(params, method="rdbs"):
     return sssp(g, s, method=method, spec=SPEC)
 
 
+def traced_run(params):
+    """One traced RDBS run: the result and its kernel spans."""
+    g, s = build(params)
+    r, tr = traced_sssp(g, s, method="rdbs", spec=SPEC)
+    return r, tr.select("kernel")
+
+
 @given(params=graph_params)
 @settings(max_examples=25, deadline=None)
 def test_per_kernel_counters_sum_to_totals(params):
-    r = run(params)
-    c = r.counters
+    r, spans = traced_run(params)
+    c = r.counters.totals
+    assert sum(e.args["loads"] for e in spans) == c.inst_executed_global_loads
     assert sum(
-        k.inst_executed_global_loads for _n, k in c.per_kernel
-    ) == c.totals.inst_executed_global_loads
-    assert sum(
-        k.total_transactions for _n, k in c.per_kernel
-    ) == c.totals.total_transactions
-    assert sum(k.l1_hits for _n, k in c.per_kernel) == c.totals.l1_hits
+        e.args["transactions"] for e in spans
+    ) == c.total_transactions
+    assert sum(e.args["l1_hits"] for e in spans) == c.l1_hits
 
 
 @given(params=graph_params)
 @settings(max_examples=25, deadline=None)
 def test_timeline_sums_to_clock(params):
-    r = run(params)
-    tl = r.extra["timeline"]
-    barrier_time = r.counters.totals.barriers * SPEC.barrier_s
+    r, spans = traced_run(params)
+    span_ms = sum(e.dur_ms for e in spans)
+    barrier_ms = r.counters.totals.barriers * SPEC.barrier_s * 1e3
     # device barriers recorded inside fused kernels are part of kernel
-    # durations; only inter-kernel barriers add outside the timeline
-    assert tl.total_s <= r.time_ms * 1e-3 + 1e-15
-    assert r.time_ms * 1e-3 <= tl.total_s + barrier_time + 1e-12
+    # durations; only inter-kernel barriers add outside the spans
+    assert span_ms <= r.time_ms + 1e-12
+    assert r.time_ms <= span_ms + barrier_ms + 1e-9
 
 
 @given(params=graph_params)

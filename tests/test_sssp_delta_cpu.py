@@ -1,10 +1,20 @@
-"""Tests for classic CPU Δ-stepping and its Fig. 2/3 trace instrumentation."""
+"""Tests for classic CPU Δ-stepping and its Fig. 2/3 trace events."""
 
 import numpy as np
 import pytest
 
 from repro.graphs import kronecker, paper_fig1_graph, path
 from repro.sssp import delta_stepping_cpu, dijkstra, validate_distances
+from repro.trace import tracing
+
+
+def traced(g, source, delta):
+    """One traced run: the result, its bucket spans, sync-round and
+    phase-1 update counters."""
+    with tracing() as tr:
+        r = delta_stepping_cpu(g, source, delta=delta)
+    return (r, tr.select("bucket"), tr.select("counter", "sync_round"),
+            tr.select("counter", "phase1_updates"))
 
 
 class TestCorrectness:
@@ -68,33 +78,61 @@ class TestWorkAccounting:
 
 
 class TestTraces:
-    def test_trace_disabled_by_default(self):
-        g = path(6)
-        assert delta_stepping_cpu(g, 0, delta=2.0).trace is None
+    def test_trace_disabled_by_default(self, monkeypatch):
+        """Without an active tracer the run builds no per-bucket
+        recorders: one WorkStats for the whole run, one more per bucket
+        only while traced."""
+        import repro.sssp.delta_cpu as delta_cpu
+
+        built = []
+
+        class CountingStats(delta_cpu.WorkStats):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(delta_cpu, "WorkStats", CountingStats)
+        r = delta_stepping_cpu(path(6), 0, delta=2.0)
+        assert r.extra["buckets"] == 3 and len(built) == 1
+        with tracing():
+            delta_stepping_cpu(path(6), 0, delta=2.0)
+        assert len(built) == 1 + 1 + 3
 
     def test_bucket_series(self):
         g = path(10)  # unit weights: distances 0..9
-        r = delta_stepping_cpu(g, 0, delta=2.0, record_trace=True)
-        series = r.trace.active_per_bucket()
-        assert len(series) == 5  # distances 0..9 in buckets of width 2
-        assert series[0][0] == 0
+        _r, buckets, _rounds, _updates = traced(g, 0, 2.0)
+        assert len(buckets) == 5  # distances 0..9 in buckets of width 2
+        assert buckets[0].args["index"] == 0
+        assert [e.args["active"] for e in buckets] == [1] * 5
+        assert all(e.device == -1 for e in buckets)  # host clock
 
     def test_iterations_recorded(self):
         g = kronecker(6, 6, weights="unit", seed=9)
-        r = delta_stepping_cpu(g, 0, delta=0.1, record_trace=True)
-        peak = r.trace.peak_bucket()
-        assert peak is not None
-        assert peak.num_iterations >= 1
-        assert peak.initial_active == max(b.initial_active for b in r.trace.buckets)
+        r, buckets, rounds, _updates = traced(g, 0, 0.1)
+        peak = max(buckets, key=lambda e: e.args["active"])
+        its = [e for e in rounds if e.args["bucket"] == peak.args["index"]]
+        assert len(its) >= 1
+        assert its[0].args["frontier"] == peak.args["active"]
+        assert len(its) == peak.args["rounds"]
+        # one round counter per phase-1 iteration, grouped by bucket
+        assert len(rounds) == r.extra["phase1_iterations"]
+        assert sum(e.args["rounds"] for e in buckets) == len(rounds)
 
     def test_phase1_update_counts_filled(self):
         g = kronecker(6, 6, weights="unit", seed=10)
-        r = delta_stepping_cpu(g, 0, delta=0.1, record_trace=True)
-        total = sum(b.phase1_total_updates for b in r.trace.buckets)
-        valid = sum(b.phase1_valid_updates for b in r.trace.buckets)
+        _r, buckets, _rounds, updates = traced(g, 0, 0.1)
+        assert [e.args["bucket"] for e in updates] == [
+            e.args["index"] for e in buckets
+        ]
+        total = sum(e.args["total"] for e in updates)
+        valid = sum(e.args["valid"] for e in updates)
         assert total >= valid > 0
 
     def test_bucket_count_matches_extra(self):
         g = kronecker(6, 6, weights="unit", seed=11)
-        r = delta_stepping_cpu(g, 0, delta=0.2, record_trace=True)
-        assert len(r.trace.buckets) == r.extra["buckets"]
+        r, buckets, _rounds, _updates = traced(g, 0, 0.2)
+        assert len(buckets) == r.extra["buckets"]
+        # tracing leaves the result itself unchanged
+        plain = delta_stepping_cpu(g, 0, delta=0.2)
+        np.testing.assert_array_equal(r.dist, plain.dist)
+        assert r.work == plain.work

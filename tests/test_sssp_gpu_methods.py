@@ -16,6 +16,7 @@ from repro.sssp import (
     validate_distances,
 )
 from repro.sssp.api import GPU_METHODS, METHODS
+from repro.trace import traced_sssp
 
 SPEC = V100.scaled_for_workload(1 / 64)
 
@@ -126,10 +127,15 @@ class TestRdbsEngine:
 
     def test_trace_recording(self):
         g = GRAPHS["unit-kron"]
-        r = rdbs_sssp(g, 0, delta=0.1, record_trace=True, spec=SPEC)
-        assert r.trace is not None
-        assert len(r.trace.buckets) == r.extra["buckets"]
-        assert r.trace.peak_bucket().initial_active > 0
+        r, tr = traced_sssp(g, 0, method="rdbs", delta=0.1, spec=SPEC)
+        buckets = tr.select("bucket")
+        assert len(buckets) == r.extra["buckets"]
+        assert max(e.args["active"] for e in buckets) > 0
+        # every async round names the bucket it drained
+        indices = {e.args["index"] for e in buckets}
+        rounds = tr.select("counter", "async_round")
+        assert rounds and {e.args["bucket"] for e in rounds} <= indices
+        assert len(rounds) == r.extra["rounds"]
 
     def test_dynamic_delta_recorded(self):
         g = GRAPHS["kron"]

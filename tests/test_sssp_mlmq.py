@@ -90,7 +90,7 @@ class TestCorrectness:
         for key in (
             "delta", "window_levels", "num_queues", "levels", "rounds",
             "advances", "stale_pops", "mlmq_steals", "mlmq_stolen_slots",
-            "wasted_relaxation_ratio", "level_telemetry",
+            "wasted_relaxation_ratio",
         ):
             assert key in extra, key
         assert 0.0 <= extra["wasted_relaxation_ratio"] <= 1.0

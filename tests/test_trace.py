@@ -3,8 +3,9 @@
 Covers the ISSUE-5 acceptance points: tracing attached does not perturb
 any device quantity (and off is trivially identical — the bench gate
 holds that line), the Chrome export is valid ``trace_event`` JSON, the
-Δ_i series on ``SSSPResult`` matches the bucket sequence observers see,
-and the ring buffer bounds memory on long runs.
+tracer's Δ_i series matches the bucket sequence other observers see,
+every opened bucket span is closed (aborted ones too), and the ring
+buffer bounds memory on long runs.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ class TestEvents:
         for e in kernels:
             assert e.args["threads"] >= 0
             assert e.args["warp_instructions"] >= 0
+            assert e.args["transactions"] >= e.args["loads"]
+            assert e.args["bound"] in {
+                "issue", "memory", "critical-path", "overhead"
+            }
             assert e.ts_ms >= 0
 
     def test_bucket_spans_carry_eq12_inputs(self, traced_rdbs):
@@ -107,26 +112,11 @@ class TestEvents:
             assert a["delta"] == pytest.approx(a["hi"] - a["lo"])
             assert a["converged"] >= 0 and a["threads"] >= 0
 
-    def test_delta_series_matches_observed_bucket_sequence(self, traced_rdbs):
-        """The telemetry on SSSPResult and the tracer's bucket spans are
-        two views of the same annotate stream — they must agree."""
-        result, tr = traced_rdbs
-        assert result.extra["delta_series"] == pytest.approx(tr.delta_series())
-        spans = [e.args for e in tr.events if e.kind == "bucket"]
-        rows = result.extra["bucket_telemetry"]
-        assert [s["index"] for s in spans] == [r["bucket"] for r in rows]
-        assert [s["epsilon"] for s in spans] == pytest.approx(
-            result.extra["epsilon_series"]
-        )
-        # Eq. 2: each processed bucket's width is lo/hi-consistent
-        for r in rows:
-            assert r["delta"] == pytest.approx(r["hi"] - r["lo"])
-
     def test_delta_series_matches_sanitizer_visible_buckets(
         self, small_kron, kron_source
     ):
         """A second, independent observer (like the sanitizer) sees the
-        same bucket sequence the telemetry reports."""
+        same bucket sequence the tracer reports."""
 
         class BucketWatcher:
             def __init__(self):
@@ -139,10 +129,11 @@ class TestEvents:
         watcher = BucketWatcher()
         register_global_observer(watcher)
         try:
-            result = sssp(small_kron, kron_source, method="rdbs")
+            result, tr = traced_sssp(small_kron, kron_source, method="rdbs")
         finally:
             unregister_global_observer(watcher)
-        assert watcher.widths == pytest.approx(result.extra["delta_series"])
+        assert len(watcher.widths) == result.extra["buckets"]
+        assert watcher.widths == pytest.approx(tr.delta_series())
 
     def test_adwl_histogram_counters(self, traced_rdbs):
         _, tr = traced_rdbs
@@ -178,6 +169,40 @@ class TestEvents:
         assert len(faults) == report.injected
         assert {e.name for e in faults} == {"lost-update"}
         assert any(e.kind == "recovery" for e in tr.events)
+
+    @pytest.mark.parametrize(
+        "method, count_key", [("rdbs", "buckets"), ("mlmq", "levels")]
+    )
+    def test_aborted_buckets_close_their_spans(self, method, count_key):
+        """A fault that aborts a bucket mid-drain still closes its span,
+        marked aborted, so the next bucket cannot replace it unclosed."""
+        from repro.faults import faulty_sssp
+        from repro.graphs import kronecker
+
+        with tracing() as tr:
+            result, _report = faulty_sssp(
+                kronecker(9, 8, seed=0), 0, method=method,
+                plan="kernel-aborts", seed=0,
+            )
+        buckets = tr.select("bucket")
+        assert len(buckets) == result.extra[count_key]
+        assert any(e.args["aborted"] for e in buckets)
+        assert tr._open_buckets == {}
+
+    def test_mlmq_level_spans_carry_queue_telemetry(
+        self, small_kron, kron_source
+    ):
+        result, tr = traced_sssp(small_kron, kron_source, method="mlmq")
+        levels = tr.select("bucket")
+        assert len(levels) == result.extra["levels"]
+        for e in levels:
+            a = e.args
+            # queue slots include stale copies of re-queued vertices
+            assert sum(a["occupancy"]) >= a["active"]
+            assert len(a["occupancy"]) == result.extra["num_queues"]
+            assert {"converged", "rounds", "stale", "steals",
+                    "stolen_slots"} <= set(a)
+        assert sum(e.args["rounds"] for e in levels) == result.extra["rounds"]
 
     def test_alloc_events(self, traced_rdbs):
         _, tr = traced_rdbs
@@ -252,6 +277,11 @@ class TestRingBuffer:
         assert tr.dropped > 0
         # newest events survive (oldest-first eviction)
         assert result.extra["buckets"] > 0
+        # a series read off the truncated buffer would be silently short
+        with pytest.raises(ValueError, match="dropped"):
+            tr.delta_series()
+        with pytest.raises(ValueError, match="dropped"):
+            tr.select("kernel")
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -310,6 +340,7 @@ class TestExport:
         text = format_summary(tr)
         assert "kernels" in text and "buckets" in text
         assert "Δ_i" in text
+        assert "bottlenecks:" in text
 
     def test_to_chrome_accepts_plain_event_lists(self):
         events = [TraceEvent("mark", "hello", 1.0, device=-1)]
