@@ -123,8 +123,9 @@ class KernelCounters:
 
     def merge(self, other: "KernelCounters") -> None:
         """Accumulate ``other`` into this counter set in place."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _FIELD_NAMES:
+            mine[name] += theirs[name]
 
     def copy(self) -> "KernelCounters":
         """An independent copy of the current counts."""
@@ -160,14 +161,18 @@ class KernelCounters:
         )
         steal_keys = ("mlmq_steals", "mlmq_stolen_slots")
         d: dict[str, float] = {
-            f.name: int(getattr(self, f.name))
-            for f in fields(self)
-            if (self.multisplit_ops or f.name not in multisplit_keys)
-            and (self.mlmq_steals or f.name not in steal_keys)
+            name: int(getattr(self, name))
+            for name in _FIELD_NAMES
+            if (self.multisplit_ops or name not in multisplit_keys)
+            and (self.mlmq_steals or name not in steal_keys)
         }
         d["global_hit_rate"] = float(self.global_hit_rate)
         d["simt_efficiency"] = float(self.simt_efficiency)
         return d
+
+
+#: counter field names in declaration order (``merge`` runs once per launch)
+_FIELD_NAMES = tuple(f.name for f in fields(KernelCounters))
 
 
 @dataclass

@@ -30,6 +30,7 @@ rules.
 from __future__ import annotations
 
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Iterator
@@ -91,16 +92,23 @@ class ObserverList(list):
     whenever membership changes, so the per-event cost collapses to one
     dict lookup over pre-bound methods (and to a single falsy check when
     no observer handles the event).
+
+    The back-reference is weak: a strong one would put every device in a
+    reference cycle, so it (and its ``dist``, scratch arrays and cache
+    state) would live until the cyclic collector ran instead of being
+    freed when its solve drops it.
     """
 
     __slots__ = ("_device",)
 
     def __init__(self, device: "GPUDevice", iterable=()) -> None:
         super().__init__(iterable)
-        self._device = device
+        self._device = weakref.ref(device)
 
     def _changed(self) -> None:
-        self._device._rebuild_dispatch()
+        device = self._device()
+        if device is not None:
+            device._rebuild_dispatch()
 
     def append(self, item) -> None:
         super().append(item)
@@ -189,6 +197,9 @@ class KernelContext:
         self.counters = KernelCounters()
         self.critical_instructions = 0
         self._load_lines: list[np.ndarray] = []
+        #: the previous access pattern and its coalesce result
+        #: (see _coalesced)
+        self._last_pattern: tuple | None = None
         self._extra_time = 0.0
         #: simulated duration, available after the launch context exits
         self.time_s: float = 0.0
@@ -208,43 +219,68 @@ class KernelContext:
     # ------------------------------------------------------------------
     def _coalesced(
         self, arr: DeviceArray, idx: np.ndarray, a: WorkAssignment
-    ) -> tuple[int, int, np.ndarray]:
-        """:func:`coalesce` with a device-side memo for prefix scans.
+    ) -> tuple[int, np.ndarray]:
+        """``(transactions, sector_ids)`` of ``arr[idx]`` under ``a``.
 
-        The dominant gather of the bucket engines is the per-iteration
-        full scan ``gather(dist, arange(n), a)`` — its coalesce triple is a
-        pure function of the array's placement, the scan length and the
-        assignment's slot array, yet a naive call re-sorts the same 16k keys
-        every iteration.  When ``idx`` is exactly ``arange(n)`` (two scalar
-        probes, then one comparison pass) the triple is cached per
-        ``(base_address, n)``.  The cached slot array is compared by
-        identity: assignment factories are memoized and the memo entry
-        keeps the array alive, so ``is`` cannot alias a recycled id.  The
-        returned ``sector_ids`` are never mutated downstream (the cache
-        stream only reads them), so sharing one array is safe.
+        The warp-instruction count is ``a.num_slots`` (every access belongs
+        to one of the assignment's slots), so only the transactions and
+        their sector stream come from :func:`coalesce`, behind two memos.
+        Both key on arrays by identity and keep those arrays alive, so
+        ``is`` cannot alias a recycled id; both return shared sector
+        arrays, which downstream code only reads.
+
+        * **Per launch, the previous access pattern** — the index array,
+          the slot array and the itemsize.  ``relax_batch`` gathers ``adj``
+          and ``weights`` through one ``edge_idx``; the second gather is a
+          hit.  The sector ids depend on the array only through
+          ``base_address // sector_bytes`` (allocations are line-aligned),
+          so a hit on another array shifts them by the difference.  Every
+          repeat seen in the engines follows its pattern directly, so one
+          entry catches them all while keeping persistent kernels' memo
+          state O(1).
+        * **Per device, prefix scans** — the dominant gather of the bucket
+          engines is the per-iteration full scan
+          ``gather(dist, arange(n), a)``, whose result is pure in the
+          array's placement, the scan length and the slot array.  When
+          ``idx`` is exactly ``arange(n)`` (two scalar probes, then one
+          comparison pass) it is cached per ``(base_address, n)``.
         """
         spec = self.device.spec
+        sector_bytes = spec.sector_bytes
+        last = self._last_pattern
+        if (
+            last is not None
+            and last[0] is idx
+            and last[1] is a.slots
+            and last[2] == arr.itemsize
+        ):
+            shift = arr.base_address - last[3]
+            if shift % sector_bytes == 0:
+                transactions, sectors = last[4], last[5]
+                if shift:
+                    sectors = sectors + shift // sector_bytes
+                return transactions, sectors
         n = idx.size
+        scan_key = None
         if (
             n > 1
             and idx[0] == 0
             and idx[n - 1] == n - 1
             and bool((idx[1:] > idx[:-1]).all())
         ):
-            memo = self.device._scan_coalesce
-            key = (arr.base_address, n)
-            entry = memo.get(key)
+            scan_key = (arr.base_address, n)
+            entry = self.device._scan_coalesce.get(scan_key)
             if entry is not None and entry[0] is a.slots:
-                return entry[1], entry[2], entry[3]
-            out = coalesce(
-                arr.addresses(idx), a.slots, spec.sector_bytes,
-                spec.cache_line_bytes,
-            )
-            memo[key] = (a.slots, *out)
-            return out
-        return coalesce(
-            arr.addresses(idx), a.slots, spec.sector_bytes, spec.cache_line_bytes
+                return entry[1], entry[2]
+        _, transactions, sectors = coalesce(
+            arr.addresses(idx), a.slots, sector_bytes, spec.cache_line_bytes
         )
+        if scan_key is not None:
+            self.device._scan_coalesce[scan_key] = (a.slots, transactions, sectors)
+        self._last_pattern = (
+            idx, a.slots, arr.itemsize, arr.base_address, transactions, sectors
+        )
+        return transactions, sectors
 
     def gather(
         self, arr: DeviceArray, idx: np.ndarray, a: WorkAssignment
@@ -253,7 +289,8 @@ class KernelContext:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size != a.num_items:
             raise ValueError("index array must match the assignment's items")
-        instructions, transactions, lines = self._coalesced(arr, idx, a)
+        transactions, lines = self._coalesced(arr, idx, a)
+        instructions = a.num_slots
         c = self.counters
         c.inst_executed_global_loads += instructions
         c.global_load_transactions += transactions
@@ -280,7 +317,8 @@ class KernelContext:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size != a.num_items:
             raise ValueError("index array must match the assignment's items")
-        instructions, transactions, _lines = self._coalesced(arr, idx, a)
+        transactions, _lines = self._coalesced(arr, idx, a)
+        instructions = a.num_slots
         c = self.counters
         c.inst_executed_global_stores += instructions
         c.global_store_transactions += transactions
@@ -308,10 +346,8 @@ class KernelContext:
         n = idx.size
         if n != a.num_items:
             raise ValueError("index array must match the assignment's items")
-        spec = self.device.spec
-        instructions, transactions, _lines = coalesce(
-            arr.addresses(idx), a.slots, spec.sector_bytes, spec.cache_line_bytes
-        )
+        transactions, _lines = self._coalesced(arr, idx, a)
+        instructions = a.num_slots
         c = self.counters
         c.inst_executed_atomics += instructions
         c.atomic_transactions += transactions
@@ -355,10 +391,8 @@ class KernelContext:
         n = idx.size
         if n != a.num_items:
             raise ValueError("index array must match the assignment's items")
-        spec = self.device.spec
-        instructions, transactions, _lines = coalesce(
-            arr.addresses(idx), a.slots, spec.sector_bytes, spec.cache_line_bytes
-        )
+        transactions, _lines = self._coalesced(arr, idx, a)
+        instructions = a.num_slots
         c = self.counters
         c.inst_executed_atomics += instructions
         c.atomic_transactions += transactions
@@ -519,7 +553,9 @@ class GPUDevice:
         # launch many short kernels over the same hot arrays.  Resolved
         # incrementally (see CacheStream) so short kernels don't pay
         # O(capacity) host time per launch.
-        self._cache_stream = CacheStream(self.cache)
+        self._cache_stream = CacheStream(
+            self.cache, self.allocator.base // spec.sector_bytes
+        )
         #: memoized coalesce triples for prefix-scan accesses
         #: (see KernelContext._coalesced)
         self._scan_coalesce: dict = {}
@@ -646,11 +682,12 @@ class GPUDevice:
             ctx.counters.kernel_launches += 1
         self._notify("on_kernel_begin", self, ctx)
         yield ctx
+        ctx._last_pattern = None  # release the memo's arrays before hit_count
         self._notify("on_kernel_end", self, ctx)
         # resolve cache behaviour for the launch's load stream, warmed by
         # the tail of the preceding launches (L2 persistence).  CacheStream
         # evaluates this incrementally — identical counts to concatenating
-        # the tail, without the per-launch O(capacity) sort
+        # the tail, in host time proportional to the launch's own lines
         if ctx._load_lines:
             lines = (
                 ctx._load_lines[0] if len(ctx._load_lines) == 1

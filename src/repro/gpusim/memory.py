@@ -30,6 +30,8 @@ class BumpAllocator:
     """Monotonic address-space allocator for simulated device memory."""
 
     def __init__(self, base: int = 1 << 20) -> None:
+        #: address of the first allocation (the lowest device address)
+        self.base = base
         self._next = base
 
     def allocate(self, nbytes: int) -> int:

@@ -8,10 +8,11 @@ numbers rather than vibes.
 
 Design constraints:
 
-* **zero cost when inactive**: instrumented code calls
-  :func:`active_profiler` (a module-global read) or enters the
-  :func:`region` context manager, both of which are no-ops unless a
-  profiler was activated with :func:`profiling`;
+* **near-zero cost when inactive**: instrumented code calls
+  :func:`active_profiler` (a module-global read) or enters
+  :func:`region`, which — unless a profiler was activated with
+  :func:`profiling` or a region sink installed — returns one shared,
+  do-nothing context manager: two global reads and no allocation;
 * **stdlib only**: importable from the lowest simulator layers without
   creating dependency cycles;
 * **additive regions**: a region entered N times accumulates total
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 __all__ = [
@@ -119,14 +120,25 @@ def profiling():
         _active = prev
 
 
-@contextmanager
+#: the context manager :func:`region` returns while nothing listens
+_NULL_REGION = nullcontext()
+
+
 def region(name: str):
-    """Time a named region iff a profiler or sink is active; free otherwise."""
+    """Time a named region iff a profiler or sink is active.
+
+    Inactive, it returns one shared null context manager, so the
+    instrumented primitives pay no generator or allocation per call.
+    """
+    if _active is None and _region_sink is None:
+        return _NULL_REGION
+    return _timed_region(name)
+
+
+@contextmanager
+def _timed_region(name: str):
     prof = _active
     sink = _region_sink
-    if prof is None and sink is None:
-        yield
-        return
     t0 = time.perf_counter()
     try:
         yield

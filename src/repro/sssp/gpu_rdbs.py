@@ -175,6 +175,14 @@ def _rdbs_run(
     candidate_buf = device.empty(
         max(graph.num_edges, 1), dtype=np.int64, name="candidates"
     )
+    # BASYN's device-resident workload lists (see _phase1_async): allocated
+    # once per run, their cursor restarts at 0 in every bucket
+    worklists = (
+        device.empty(
+            max(graph.num_edges, 1), dtype=np.int64, name="workload_slots"
+        ),
+        device.empty(n, dtype=np.int64, name="workload_spill"),
+    ) if basyn else None
     #: live BASYN toggle — the watchdog degrades it to synchronous mid-run
     basyn_active = basyn
     controller = DeltaController(delta) if basyn_active else None
@@ -247,7 +255,7 @@ def _rdbs_run(
                 outcome = _phase1_async(
                     device, dgraph, dist, members, b_lo, b_hi, split,
                     pro=use_offsets, adwl=adwl, stats=stats,
-                    in_queue=in_queue, bucket=bucket_id,
+                    in_queue=in_queue, worklists=worklists, bucket=bucket_id,
                     chunk_size=async_chunk, watchdog=watchdog,
                 )
             else:
@@ -408,6 +416,7 @@ def _phase1_async(
     adwl: bool,
     stats: WorkStats,
     in_queue: np.ndarray,
+    worklists: tuple,
     bucket: int,
     chunk_size: int = ASYNC_CHUNK,
     watchdog: Watchdog | None = None,
@@ -424,19 +433,14 @@ def _phase1_async(
     rounds = 0
     queue: list[np.ndarray] = [members]
     in_queue[members] = True
-    # the device-resident workload lists: re-activations append *densely*
-    # behind a rolling cursor (coalesced stores instead of vertex-scattered
-    # ones); sized to the edge count because every push follows an
-    # updated relaxation.  The spill list absorbs the pathological
-    # overflow case with vertex-addressed stamp stores.  Write-only
-    # scratch, so both stay uninitialized (cudaMalloc semantics)
-    queue_slots = device.empty(
-        max(dgraph.graph.num_edges, 1), dtype=np.int64,
-        name="workload_slots",
-    )
-    queue_spill = device.empty(
-        dist.size, dtype=np.int64, name="workload_spill"
-    )
+    # the device-resident workload lists ``(slots, spill)``: re-activations
+    # append *densely* behind a rolling cursor (coalesced stores instead of
+    # vertex-scattered ones); the slot list is sized to the edge count
+    # because every push follows an updated relaxation, and the spill list
+    # absorbs the pathological overflow case with vertex-addressed stamp
+    # stores.  Write-only scratch, so both stay uninitialized (cudaMalloc
+    # semantics)
+    queue_slots, queue_spill = worklists
     cursor = 0
     # per-round drain telemetry is host-side only, so it is gated on an
     # attached on_annotate observer — without one, no payload is built

@@ -31,30 +31,38 @@ __all__ = [
 
 
 def stable_sort_with_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(sorted_keys, order)`` with a stable order, for non-negative ints.
+    """``(sorted_keys, order)`` with a stable order, for integer keys.
 
     Exactly ``(keys[order], order)`` for ``order = argsort(keys,
     kind='stable')``.  NumPy's stable argsort on int64 is timsort, which is
-    several times slower than its plain sort at the few-thousand-element
-    sizes the simulator hits per launch — so when the keys are small enough
-    to leave room, the element *position* is packed into the low digits of
-    a composite key (``key * n + pos``), sorted in place, and unpacked with
-    one divmod.  Composite keys are distinct, so an unstable sort yields
-    exactly the stable order.  Falls back to ``argsort`` for tiny arrays
-    (where the extra passes cost more than timsort) and for keys too large
-    to pack.
+    several times slower than the alternatives at the few-thousand-element
+    sizes the simulator hits per launch, so above 512 keys:
+
+    * keys spanning fewer than ``2**16`` values are shifted to start at 0
+      and cast to ``uint16``, for which NumPy's stable argsort is a radix
+      sort — the same permutation, since the shift preserves order;
+    * otherwise, when the keys are non-negative and small enough to leave
+      room, the element *position* is packed into the low digits of a
+      composite key (``key * n + pos``), sorted in place, and unpacked
+      with one divmod.  Composite keys are distinct, so an unstable sort
+      yields exactly the stable order.
+
+    Tiny arrays (where the extra passes cost more than timsort) and keys
+    too large to pack take the plain stable argsort.
     """
     with region("primitive:sort"):
         n = keys.size
-        if (
-            n > 512
-            and int(keys.max(initial=0)) < (1 << 62) // n
-            and int(keys.min(initial=0)) >= 0
-        ):
-            packed = keys * np.int64(n) + np.arange(n, dtype=np.int64)
-            packed.sort()
-            sorted_keys, order = np.divmod(packed, np.int64(n))
-            return sorted_keys, order
+        if n > 512:
+            lo = int(keys.min())
+            hi = int(keys.max())
+            if hi - lo < (1 << 16):
+                order = np.argsort((keys - lo).astype(np.uint16), kind="stable")
+                return keys[order], order
+            if lo >= 0 and hi < (1 << 62) // n:
+                packed = keys * np.int64(n) + np.arange(n, dtype=np.int64)
+                packed.sort()
+                sorted_keys, order = np.divmod(packed, np.int64(n))
+                return sorted_keys, order
         order = np.argsort(keys, kind="stable")
         return keys[order], order.astype(np.int64, copy=False)
 
@@ -89,6 +97,13 @@ def multisplit_order(
         np.cumsum(counts, out=offsets[1:])
         if keys.size == 0:
             return np.zeros(0, dtype=np.int64), offsets
+        if num_buckets <= 4:
+            # a small fan-out is a stable partition, not a sort: one
+            # position scan (flatnonzero) per bucket, in original order
+            order = np.concatenate(
+                [(keys == b).nonzero()[0] for b in range(num_buckets)]
+            )
+            return order, offsets
         _, order = stable_sort_with_order(keys)
         return order, offsets
 

@@ -4,14 +4,17 @@ This file locks in the equivalences the performance layer relies on:
 
 * :class:`CacheStream` reproduces ``CacheModel.hits(tail + lines)`` bit
   for bit, launch by launch (the docstring of ``cachemodel.py`` points
-  here);
+  here), and its state stops growing once the loaded address range and
+  the window are covered;
 * ``stable_sort_with_order`` equals a stable argsort, including the
-  composite-key packing fast path and its fallbacks;
+  radix and composite-key packing fast paths and their fallbacks, and
+  ``multisplit_order``'s small fan-out partition equals one too;
 * ``distinct_count`` / ``sorted_unique_ints`` equal ``np.unique``;
 * ``serialized_min_outcome``'s distinct-address fast path equals the
   general segmented-scan path, which itself equals a scalar reference;
-* the scan-coalesce memo returns exactly what a fresh ``coalesce`` call
-  would, and only engages for true ``arange`` scans;
+* the scan-coalesce memo and the per-launch access-pattern memo return
+  exactly what a fresh ``coalesce`` call would, and the scan memo only
+  engages for true ``arange`` scans;
 * assignment factories report the analytic ``num_slots`` (the
   ``np.unique`` fallback was removed from the hot path);
 * observer dispatch rebuilds on list mutation, and ``host_copy`` only
@@ -23,7 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gpusim.cachemodel import CacheModel, CacheStream
+import repro.gpusim.device as device_module
+from repro.gpusim.cachemodel import CacheModel, CacheStream, reuse_horizon
 from repro.gpusim.device import GPUDevice
 from repro.gpusim.kernels import (
     _finalize,
@@ -36,6 +40,7 @@ from repro.gpusim.memory import coalesce
 from repro.gpusim.spec import V100
 from repro.util.scan import (
     distinct_count,
+    multisplit_order,
     serialized_min_outcome,
     sorted_unique_ints,
     stable_sort_with_order,
@@ -65,8 +70,8 @@ def _reference_hits(model: CacheModel, launches) -> list[int]:
     return out
 
 
-def _stream_hits(model: CacheModel, launches) -> list[int]:
-    stream = CacheStream(model)
+def _stream_hits(model: CacheModel, launches, base_sector: int = 0) -> list[int]:
+    stream = CacheStream(model, base_sector)
     return [stream.hit_count(lines) for lines in launches]
 
 
@@ -88,8 +93,8 @@ def test_cache_stream_matches_reference_random(cap, id_range):
 
 
 def test_cache_stream_matches_reference_sorted_fast_path():
-    # ascending streams (what slot-major coalescing emits) take the
-    # sort-free branch; duplicates make within-launch gaps of exactly 1
+    # ascending streams (what slot-major coalescing emits): duplicates
+    # are adjacent, making every within-launch gap exactly 1
     rng = np.random.default_rng(7)
     launches = [
         np.sort(rng.integers(0, 500, size=n)).astype(np.int64)
@@ -99,19 +104,79 @@ def test_cache_stream_matches_reference_sorted_fast_path():
     assert _stream_hits(model, launches) == _reference_hits(model, launches)
 
 
-def test_cache_stream_matches_reference_across_compaction():
-    # >1024 distinct sectors with a tiny capacity forces the table
-    # compaction branch; counts must be unaffected
-    launches = [
-        np.arange(i * 200, (i + 1) * 200, dtype=np.int64) for i in range(10)
+def _long_launches(rng):
+    # launches longer than a small capacity, reusing across boundaries
+    return [
+        rng.integers(0, 90, size=int(rng.integers(20, 200))).astype(np.int64)
+        for _ in range(12)
     ]
-    launches.append(np.arange(1800, 2000, dtype=np.int64))  # recent reuse
-    launches.append(np.arange(0, 200, dtype=np.int64))  # evicted reuse
-    model = _model_with_capacity(7)
-    stream = CacheStream(model)
-    got = [stream.hit_count(lines) for lines in launches]
-    assert got == _reference_hits(model, launches)
-    assert stream._sectors.size <= max(4 * 7, 1024)  # compaction ran
+
+
+def _many_wraps(rng):
+    # hundreds of short launches: the window ring wraps many times
+    return [
+        rng.integers(0, 25, size=int(rng.integers(0, 12))).astype(np.int64)
+        for _ in range(400)
+    ]
+
+
+def _sparse_high(rng):
+    # sparse sector ids that climb, forcing table growth, with revisits
+    # of low, evicted and recent sectors
+    out = []
+    for i in range(15):
+        hi = rng.integers(0, 40, size=20) * (1000 * (i + 1)) + 10**6
+        lo = rng.integers(0, 30, size=10)
+        out.append(np.concatenate([hi, lo]).astype(np.int64))
+    out.append(out[-1][::-1].copy())
+    return out
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+@pytest.mark.parametrize(
+    "make", [_long_launches, _many_wraps, _sparse_high],
+    ids=["longer-than-capacity", "ring-wraps", "sparse-high-ids"],
+)
+def test_cache_stream_matches_reference_replays(cap, make):
+    launches = make(np.random.default_rng(cap))
+    model = _model_with_capacity(cap)
+    want = _reference_hits(model, launches)
+    assert _stream_hits(model, launches) == want
+    # a table based above the loaded ids must grow downwards
+    assert _stream_hits(model, launches, base_sector=500) == want
+
+
+def test_cache_stream_state_is_bounded():
+    # nothing O(capacity) at device creation
+    device = GPUDevice()
+    stream = device._cache_stream
+    assert stream._ring.size == 0 and stream._last.size == 0
+
+    # the arrays grow to the loaded sector range and the window, then stop
+    model = _model_with_capacity(64)
+    stream = CacheStream(model, base_sector=1000)
+    rng = np.random.default_rng(5)
+    sizes = []
+    for i in range(300):
+        lines = rng.integers(1000, 1000 + 3000, size=int(rng.integers(1, 50)))
+        if i == 0:
+            lines[-1] = 3999  # the top of the range is loaded first
+        stream.hit_count(lines.astype(np.int64))
+        sizes.append((stream._last.size, stream._ring.size))
+    assert sizes[-1] == (3000, 64)
+    first_full = next(i for i, s in enumerate(sizes) if s == (3000, 64))
+    assert all(s == (3000, 64) for s in sizes[first_full:])
+
+
+def test_reuse_horizon_is_the_exact_float_boundary():
+    model = _model_with_capacity(100)
+    for u in (101, 150, 1000, 10**6):
+        h = reuse_horizon(u, 100)
+        gaps = np.array([h - 1, h, h + 1], dtype=np.int64)
+        t = gaps.astype(np.float64)
+        d = float(u) * -np.expm1(t * np.log1p(-1.0 / float(u)))
+        assert list(d <= 100) == [True, True, False]
+    assert reuse_horizon(100, 100) == np.iinfo(np.int64).max
 
 
 def test_cache_stream_tight_reuse_and_empty_launches():
@@ -151,6 +216,35 @@ def test_stable_sort_with_order_equals_stable_argsort(n, hi):
     want_order = np.argsort(keys, kind="stable")
     np.testing.assert_array_equal(order, want_order)
     np.testing.assert_array_equal(sorted_keys, keys[want_order])
+
+
+@pytest.mark.parametrize("span", [(1 << 16) - 1, 1 << 16])
+@pytest.mark.parametrize("offset", [0, 10**12, -(10**9)])
+def test_stable_sort_radix_boundary_equals_stable_argsort(span, offset):
+    # key spans just inside the uint16 radix path and just outside it
+    rng = np.random.default_rng(span % 97)
+    keys = rng.integers(0, span + 1, size=3000).astype(np.int64)
+    keys[:2] = (0, span)  # pin the span exactly
+    keys += offset
+    sorted_keys, order = stable_sort_with_order(keys)
+    want = np.argsort(keys, kind="stable")
+    np.testing.assert_array_equal(order, want)
+    np.testing.assert_array_equal(sorted_keys, keys[want])
+    assert order.dtype == np.int64
+
+
+@pytest.mark.parametrize("num_buckets", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [0, 1, 40, 3000])
+def test_multisplit_partition_equals_stable_argsort(num_buckets, n):
+    rng = np.random.default_rng(num_buckets * 31 + n)
+    # draw from every other bucket so some buckets stay empty
+    used = np.arange(0, num_buckets, 2)
+    keys = rng.choice(used, size=n).astype(np.int64)
+    order, offsets = multisplit_order(keys, num_buckets)
+    np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
+    counts = np.bincount(keys, minlength=num_buckets)
+    np.testing.assert_array_equal(offsets, np.concatenate([[0], np.cumsum(counts)]))
+    assert order.dtype == np.int64
 
 
 def test_stable_sort_with_order_fallbacks_stay_stable():
@@ -252,8 +346,8 @@ def test_scan_coalesce_memo_is_exact_and_scoped():
         arr.addresses(idx), a.slots, V100.sector_bytes, V100.cache_line_bytes
     )
     assert cached[0] is a.slots
-    assert (cached[1], cached[2]) == (direct[0], direct[1])
-    np.testing.assert_array_equal(cached[3], direct[2])
+    assert cached[1] == direct[1]
+    np.testing.assert_array_equal(cached[2], direct[2])
 
     # both gathers charged identical, full-price counters
     fresh = GPUDevice()
@@ -290,8 +384,44 @@ def test_scan_coalesce_memo_rejects_non_arange_and_stale_slots():
     direct = coalesce(
         arr.addresses(idx), b.slots, V100.sector_bytes, V100.cache_line_bytes
     )
-    assert (entry[1], entry[2]) == (direct[0], direct[1])
-    np.testing.assert_array_equal(entry[3], direct[2])
+    assert entry[1] == direct[1]
+    np.testing.assert_array_equal(entry[2], direct[2])
+
+
+def test_pattern_memo_hit_equals_fresh_coalesce(monkeypatch):
+    # relax_batch's shape: two arrays gathered through one index array
+    device = GPUDevice()
+    adj = device.alloc(np.arange(3000, dtype=np.int64), name="adj")
+    weights = device.alloc(np.ones(3000), name="weights")
+    narrow = device.alloc(np.ones(3000, dtype=np.float32), name="narrow")
+    rng = np.random.default_rng(9)
+    idx = rng.integers(0, 3000, size=700).astype(np.int64)
+    a = thread_per_item(700)
+    real = device_module.coalesce
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(device_module, "coalesce", counted)
+    with device.launch("relax") as ctx:
+        ctx.gather(adj, idx, a)
+        got = ctx._coalesced(weights, idx, a)
+        assert len(calls) == 1  # served by the memo, shifted to weights
+        # a base off the sector grid, and another itemsize, recompute
+        off_grid = type(weights)(weights.data, weights.base_address + 8)
+        shifted = ctx._coalesced(off_grid, idx, a)
+        assert len(calls) == 2
+        ctx._coalesced(narrow, idx, a)
+    assert len(calls) == 3
+    for arr, out in ((weights, got), (off_grid, shifted)):
+        _, transactions, sectors = real(
+            arr.addresses(idx), a.slots, V100.sector_bytes,
+            V100.cache_line_bytes,
+        )
+        assert out[0] == transactions
+        np.testing.assert_array_equal(out[1], sectors)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,18 @@ Each test pins the exact scenario that originally failed, so the bug class
 cannot silently return.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.graphs import grid_road_network, kronecker, largest_component_vertices
 from repro.gpusim import V100
+from repro.gpusim.device import (
+    register_global_observer,
+    unregister_global_observer,
+)
 from repro.sssp import DeltaController, rdbs_sssp, validate_distances
 from repro.trace import traced_sssp
 
@@ -96,3 +103,73 @@ class TestReorderedSourceMapping:
             a = rdbs_sssp(g, s, pro=True, spec=SPEC).dist
             b = rdbs_sssp(g, s, pro=False, spec=SPEC).dist
             assert np.array_equal(a, b), s
+
+
+class _DeviceWatch:
+    """Global observer: weak refs to every device, plus per-device counts
+    of allocations by name and of ``bucket`` annotations."""
+
+    def __init__(self):
+        self.devices = []
+        self.allocs = []
+        self.buckets = []
+
+    def _index(self, device):
+        if not self.devices or self.devices[-1]() is not device:
+            self.devices.append(weakref.ref(device))
+            self.allocs.append([])
+            self.buckets.append(0)
+        return len(self.devices) - 1
+
+    def on_alloc(self, device, arr, initialized):
+        self.allocs[self._index(device)].append(arr.name)
+
+    def on_annotate(self, device, tag, payload):
+        if tag == "bucket":
+            self.buckets[self._index(device)] += 1
+
+
+@pytest.fixture
+def watch():
+    w = _DeviceWatch()
+    register_global_observer(w)
+    try:
+        yield w
+    finally:
+        unregister_global_observer(w)
+
+
+class TestDeviceLifetime:
+    """Bug: the device's observer list held a strong reference back to the
+    device — a reference cycle, so every device (with its ``dist``,
+    scratch arrays and cache state) outlived its solve until the cyclic
+    collector happened to run.  Fix: the back-reference is weak."""
+
+    def test_device_freed_when_solve_returns(self, watch):
+        from repro.sssp import sssp
+
+        g = grid_road_network(12, 12, seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            sssp(g, 0, method="rdbs", spec=SPEC)
+            alive = [ref() is not None for ref in watch.devices]
+        finally:
+            gc.enable()
+        assert alive and not any(alive)
+
+
+class TestRdbsWorklistAllocation:
+    """Waste: BASYN phase 1 allocated its two workload lists (``m`` and
+    ``n`` int64) once per *bucket*, so the simulated address space grew
+    with the bucket count.  Fix: one allocation per run attempt; the
+    cursor restarts at 0 in every bucket."""
+
+    def test_one_worklist_per_run_attempt(self, watch):
+        g = grid_road_network(16, 16, seed=4)
+        r = rdbs_sssp(g, 0, spec=SPEC)
+        validate_distances(g, 0, r.dist)
+        assert max(watch.buckets) > 1  # several buckets ran
+        for names in watch.allocs:
+            assert names.count("workload_slots") == 1
+            assert names.count("workload_spill") == 1

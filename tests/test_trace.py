@@ -71,6 +71,12 @@ class TestZeroCost:
             pass
         with profile.region("after-detach"):
             pass  # must be a no-op again, not feed the dead tracer
+        # inactive regions share one null context: no per-call allocation
+        assert profile.region("a") is profile.region("b")
+        with profile.profiling() as prof:
+            with profile.region("primitive:sort"):
+                pass
+        assert prof.calls == {"primitive:sort": 1}
 
 
 # ----------------------------------------------------------------------
